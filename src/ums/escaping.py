@@ -8,6 +8,8 @@ in compound values.
 
 from __future__ import annotations
 
+import re
+
 from .errors import SidecarSyntaxError
 
 
@@ -20,52 +22,45 @@ def escape(value: str) -> str:
     )
 
 
+#: one field of a compound value: runs of plain text and escape pairs; a
+#: backslash at the very end matches alone and stays in the field, for
+#: unescape to reject
+_FIELD_RE = re.compile(r"(?:[^\\|]+|\\.?)*", re.DOTALL)
+#: one escape: a backslash and the character after it, if any
+_ESCAPE_RE = re.compile(r"\\(.?)", re.DOTALL)
+_UNESCAPED = {"\\": "\\", "n": "\n", "|": "|"}
+
+
+def _decode_escape(match: re.Match) -> str:
+    code = match.group(1)
+    try:
+        return _UNESCAPED[code]
+    except KeyError:
+        if code == "":
+            raise ValueError("dangling backslash") from None
+        raise ValueError(f"bad escape \\{code}") from None
+
+
 def unescape(value: str) -> str:
     """Decode the escapes; reject stray backslashes."""
-    out: list[str] = []
-    i = 0
-    n = len(value)
-    while i < n:
-        ch = value[i]
-        if ch == "\\":
-            if i + 1 >= n:
-                raise ValueError("dangling backslash")
-            nxt = value[i + 1]
-            if nxt == "\\":
-                out.append("\\")
-            elif nxt == "n":
-                out.append("\n")
-            elif nxt == "|":
-                out.append("|")
-            else:
-                raise ValueError(f"bad escape \\{nxt}")
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    if "\\" not in value:
+        return value
+    return _ESCAPE_RE.sub(_decode_escape, value)
 
 
 def split_fields(value: str) -> list[str]:
     """Split a compound value on unescaped ``|``; fields stay escaped."""
+    if "\\" not in value:
+        return value.split("|")
     fields: list[str] = []
-    current: list[str] = []
-    i = 0
-    n = len(value)
-    while i < n:
-        ch = value[i]
-        if ch == "\\" and i + 1 < n:
-            current.append(value[i : i + 2])
-            i += 2
-        elif ch == "|":
-            fields.append("".join(current))
-            current = []
-            i += 1
-        else:
-            current.append(ch)
-            i += 1
-    fields.append("".join(current))
-    return fields
+    match = _FIELD_RE.match
+    start = 0
+    while True:
+        end = match(value, start).end()
+        fields.append(value[start:end])
+        if end == len(value):
+            return fields
+        start = end + 1  # past the separating "|"
 
 
 def join_fields(fields: list[str]) -> str:

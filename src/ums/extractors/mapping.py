@@ -15,7 +15,7 @@ from typing import Optional
 from .. import timestamps
 from ..errors import InvalidTimestamp, InvariantViolation, MappingError, RuleConflict
 from ..languages import is_language_code
-from ..model import DOC_TYPES, IdentifierBinding, Subject, UmsRecord
+from ..model import DOC_TYPES, FORMAT_RE, IdentifierBinding, Subject, UmsRecord
 from . import RawMetadata, base_key
 
 MAPPING_HEADER = "ums-mapping: 1"
@@ -29,9 +29,8 @@ _PLAIN_TARGETS = _SINGLETON_TARGETS | _ONE_SHOT_TARGETS | {
     "tag",
     "subject",
 }
-_IDENTIFIER_TARGET_RE = re.compile(r"^identifier:([A-Z0-9]+)$")
-_FORMAT_TOKEN_RE = re.compile(r"^[a-z0-9]+$")
-_RULE_LINE_RE = re.compile(r"^(\w+)\.(.+?) -> (\S+)$")
+_IDENTIFIER_TARGET_RE = re.compile(r"identifier:([A-Z0-9]+)")
+_RULE_LINE_RE = re.compile(r"(\w+)\.(.+?) -> (\S+)")
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,7 @@ class MappingTable:
     def __post_init__(self):
         filled: set[tuple[str, str]] = set()
         for rule in self.rules:
-            if rule.target not in _PLAIN_TARGETS and not _IDENTIFIER_TARGET_RE.match(
+            if rule.target not in _PLAIN_TARGETS and not _IDENTIFIER_TARGET_RE.fullmatch(
                 rule.target
             ):
                 raise MappingError(f"unknown mapping target: {rule.target!r}")
@@ -94,7 +93,7 @@ def load_mapping(data: bytes) -> MappingTable:
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        m = _RULE_LINE_RE.match(line)
+        m = _RULE_LINE_RE.fullmatch(line)
         if not m:
             raise MappingError(f"line {line_no}: expected 'carrier.Key -> field'")
         rules.append(MappingRule(carrier=m.group(1), key=m.group(2), target=m.group(3)))
@@ -113,7 +112,7 @@ def _format_token(key: str, value: str, carrier: str) -> str:
         candidate = value.rsplit("/", 1)[1].lower()
     else:
         candidate = value.lower()
-    if _FORMAT_TOKEN_RE.match(candidate):
+    if FORMAT_RE.fullmatch(candidate):
         return candidate
     return carrier
 
@@ -196,7 +195,7 @@ def map_raw_to_ums(
                 subjects.append(value)
             mapped = True
         else:
-            system = _IDENTIFIER_TARGET_RE.match(target).group(1)
+            system = _IDENTIFIER_TARGET_RE.fullmatch(target).group(1)
             try:
                 binding = IdentifierBinding(system=system, id=value)
             except InvariantViolation:

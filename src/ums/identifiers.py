@@ -16,9 +16,9 @@ from .errors import UnknownSystem
 #: classification systems registered out of the box
 BUILTIN_SYSTEMS = ("DOI", "ISBN", "PMID", "URN", "PURL", "ISNI", "OCLC")
 
-_DOI_RE = re.compile(r"^10\.\d{4,9}/\S+$", re.ASCII)
-_PMID_RE = re.compile(r"^[1-9]\d{0,7}$", re.ASCII)
-_URN_NID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9-]{0,31}$")
+_DOI_RE = re.compile(r"10\.\d{4,9}/\S+", re.ASCII)
+_PMID_RE = re.compile(r"[1-9]\d{0,7}", re.ASCII)
+_URN_NID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9-]{0,31}")
 _URN_NSS_CHAR_RE = re.compile(r"[A-Za-z0-9()+,\-.:=@;$_!*']")
 
 
@@ -77,14 +77,14 @@ def check_doi(value: str) -> IdentifierCheck:
     """DOI shape ``10.<4-9 digits>/<non-space suffix>``."""
     if not value.startswith("10."):
         return IdentifierCheck.bad("BadPrefix")
-    if not _DOI_RE.match(value):
+    if not _DOI_RE.fullmatch(value):
         return IdentifierCheck.bad("BadSyntax")
     return IdentifierCheck.ok()
 
 
 def check_pmid(value: str) -> IdentifierCheck:
     """PMID: integer of one to eight digits."""
-    if not _PMID_RE.match(value):
+    if not _PMID_RE.fullmatch(value):
         return IdentifierCheck.bad("BadSyntax")
     return IdentifierCheck.ok()
 
@@ -95,7 +95,7 @@ def check_urn(value: str) -> IdentifierCheck:
     if len(parts) != 3 or parts[0].lower() != "urn":
         return IdentifierCheck.bad("BadSyntax")
     nid, nss = parts[1], parts[2]
-    if not _URN_NID_RE.match(nid) or nid.lower() == "urn":
+    if not _URN_NID_RE.fullmatch(nid) or nid.lower() == "urn":
         return IdentifierCheck.bad("BadSyntax")
     if not nss:
         return IdentifierCheck.bad("BadSyntax")

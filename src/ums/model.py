@@ -25,10 +25,16 @@ EVENT_KINDS = ("create", "rename", "reclassify", "relocate", "reformat", "transl
 
 ACCESS_PUBLIC, ACCESS_INTERNAL, ACCESS_RESTRICTED, ACCESS_SECRET = range(4)
 
-_FORMAT_RE = re.compile(r"^[a-z0-9]+$")
-_SYSTEM_RE = re.compile(r"^[A-Z0-9]+$")
-_PREV_RE = re.compile(r"^[0-9a-f]{16}$")
-_QUALIFIER_RE = re.compile(r"^\d+$", re.ASCII)
+#: strictness of sidecar parsing and of record validation
+STRICT = "strict"
+LENIENT = "lenient"
+
+#: a format tag (whole-string match); the sidecar parser, provenance and
+#: mapping all check tags with this one pattern
+FORMAT_RE = re.compile(r"[a-z0-9]+")
+_SYSTEM_RE = re.compile(r"[A-Z0-9]+")
+_PREV_RE = re.compile(r"[0-9a-f]{16}")
+_QUALIFIER_RE = re.compile(r"\d+", re.ASCII)
 
 GENESIS_PREV = "0" * 16
 
@@ -67,7 +73,7 @@ class IdentifierBinding:
 
     def __post_init__(self):
         system = nfc(self.system).upper()
-        if not _SYSTEM_RE.match(system):
+        if not _SYSTEM_RE.fullmatch(system):
             raise InvariantViolation(f"bad system token: {self.system!r}")
         if self.id == "":
             raise InvariantViolation("empty identity number")
@@ -108,7 +114,7 @@ class ProvenanceEvent:
         if self.kind not in EVENT_KINDS:
             raise InvariantViolation(f"unknown event kind: {self.kind!r}")
         timestamps.ensure_canonical(self.timestamp)
-        if not _PREV_RE.match(self.prev):
+        if not _PREV_RE.fullmatch(self.prev):
             raise InvariantViolation(f"bad prev digest: {self.prev!r}")
         object.__setattr__(self, "payload", nfc(self.payload))
 
@@ -136,7 +142,7 @@ class SystematicName:
             if self.where == "":
                 raise InvariantViolation("empty where component")
             object.__setattr__(self, "where", nfc(self.where))
-        if self.qualifier is not None and not _QUALIFIER_RE.match(self.qualifier):
+        if self.qualifier is not None and not _QUALIFIER_RE.fullmatch(self.qualifier):
             raise InvariantViolation(f"qualifier must be digits: {self.qualifier!r}")
 
     @property
@@ -256,7 +262,7 @@ class UmsRecord:
 
         formats = tuple(f.lower() for f in _nfc_tuple(self.formats, "format"))
         for f in formats:
-            if not _FORMAT_RE.match(f):
+            if not FORMAT_RE.fullmatch(f):
                 raise InvariantViolation(f"bad format tag: {f!r}")
         object.__setattr__(self, "formats", formats)
 

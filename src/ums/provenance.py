@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import re
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -19,6 +18,7 @@ from .errors import BrokenChain, InvariantViolation, MalformedPayload
 from .languages import is_language_code
 from .model import (
     EVENT_KINDS,
+    FORMAT_RE,
     GENESIS_PREV,
     IdentifierBinding,
     ProvenanceEvent,
@@ -37,8 +37,6 @@ DERIVED_FIELDS = {
     "reformat": "formats",
     "translate": "languages",
 }
-
-_FORMAT_RE = re.compile(r"^[a-z0-9]+$")
 
 
 def event_digest(event: ProvenanceEvent) -> str:
@@ -60,7 +58,7 @@ def _normalize_payload(kind: str, payload: str) -> str:
         return payload
     if kind == "reformat":
         payload = payload.lower()
-        if not _FORMAT_RE.match(payload):
+        if not FORMAT_RE.fullmatch(payload):
             raise MalformedPayload(f"bad format tag: {payload!r}")
         return payload
     if kind == "translate":

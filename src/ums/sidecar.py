@@ -7,6 +7,12 @@ creator*, identifier*, access?, subject*, tag*, history*.
 
 Serialization is canonical: the same record always produces the same
 bytes, and ``parse_record(canonical_serialize(r)) == r``.
+
+The parser checks grammar: lines, key order, escapes, field counts and
+the lexical tokens (lowercase format tags and language codes, canonical
+dates).  Values that make up a history event are checked by
+:class:`ProvenanceEvent` alone; the parser reports its complaint as a
+:class:`SidecarSyntaxError` naming the line.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ import re
 
 from .errors import (
     DuplicateSingletonKey,
+    InvalidTimestamp,
+    InvariantViolation,
     SidecarSyntaxError,
     UnknownKey,
 )
@@ -22,7 +30,9 @@ from .escaping import decode_fields, escape, join_fields, split_fields, unescape
 from .model import (
     ACCESS_PUBLIC,
     DOC_TYPES,
-    EVENT_KINDS,
+    FORMAT_RE,
+    LENIENT,
+    STRICT,
     IdentifierBinding,
     ProvenanceEvent,
     Subject,
@@ -32,9 +42,6 @@ from .model import (
 from . import timestamps
 
 SIDECAR_EXTENSION = ".ums"
-
-STRICT = "strict"
-LENIENT = "lenient"
 
 #: sidecar keys in their only admissible order
 _KEY_ORDER = (
@@ -53,10 +60,10 @@ _KEY_ORDER = (
     "tag",
     "history",
 )
+_KEY_POS = {key: pos for pos, key in enumerate(_KEY_ORDER)}
 _SINGLETON_KEYS = frozenset({"name", "date", "type", "summary", "access"})
-_FORMAT_TOKEN_RE = re.compile(r"^[a-z0-9]+$")
-_LANGUAGE_TOKEN_RE = re.compile(r"^[a-z]{2,3}$")
-_SEQ_RE = re.compile(r"^(0|[1-9]\d*)$", re.ASCII)
+_LANGUAGE_TOKEN_RE = re.compile(r"[a-z]{2,3}")
+_SEQ_RE = re.compile(r"0|[1-9]\d*", re.ASCII)
 
 
 def serialize_event(event: ProvenanceEvent) -> str:
@@ -108,21 +115,18 @@ def _parse_history_value(value: str, line_no: int) -> ProvenanceEvent:
             line_no, f"history needs 5 fields, got {len(raw)}"
         )
     seq_s, ts, kind, payload_esc, prev = raw
-    if not _SEQ_RE.match(seq_s):
+    if not _SEQ_RE.fullmatch(seq_s):
         raise SidecarSyntaxError(line_no, f"bad history seq: {seq_s!r}")
-    if not timestamps.is_canonical(ts):
-        raise SidecarSyntaxError(line_no, f"bad history timestamp: {ts!r}")
-    if kind not in EVENT_KINDS:
-        raise SidecarSyntaxError(line_no, f"bad history event: {kind!r}")
     try:
         payload = unescape(payload_esc)
     except ValueError as exc:
         raise SidecarSyntaxError(line_no, f"history payload: {exc}") from None
-    if not (len(prev) == 16 and all(c in "0123456789abcdef" for c in prev)):
-        raise SidecarSyntaxError(line_no, f"bad history prev digest: {prev!r}")
-    return ProvenanceEvent(
-        seq=int(seq_s), timestamp=ts, kind=kind, payload=payload, prev=prev
-    )
+    try:
+        return ProvenanceEvent(
+            seq=int(seq_s), timestamp=ts, kind=kind, payload=payload, prev=prev
+        )
+    except (InvariantViolation, InvalidTimestamp) as exc:
+        raise SidecarSyntaxError(line_no, f"history: {exc}") from None
 
 
 def parse_record_with_warnings(
@@ -154,21 +158,18 @@ def parse_record_with_warnings(
         key, sep, value = line.partition(": ")
         if not sep or not key or value == "":
             raise SidecarSyntaxError(line_no, f"expected 'key: value', got {line!r}")
-        if key not in _KEY_ORDER:
+        pos = _KEY_POS.get(key)
+        if pos is None:
             if mode == STRICT:
                 raise UnknownKey(line_no, key)
             warnings.append(f"line {line_no}: unknown key {key!r} ignored")
             continue
-        pos = _KEY_ORDER.index(key)
         if pos < order_pos:
             raise SidecarSyntaxError(line_no, f"key {key!r} out of order")
         if key in _SINGLETON_KEYS and values[key]:
             raise DuplicateSingletonKey(line_no, key)
         order_pos = pos
         values[key].append((value, line_no))
-
-    def single(key: str) -> tuple[str, int] | None:
-        return values[key][0] if values[key] else None
 
     missing = [k for k in ("name", "format", "date") if not values[k]]
     if missing:
@@ -190,40 +191,36 @@ def parse_record_with_warnings(
     def decode_simple(key: str) -> list[str]:
         return [decode_one(key, value, line_no) for value, line_no in values[key]]
 
+    # singleton keys hold at most one (value, line) pair
     name = ""
-    if single("name"):
-        value, line_no = single("name")
+    for value, line_no in values["name"]:
         name = decode_one("name", value, line_no)
 
     for value, line_no in values["format"]:
-        if not _FORMAT_TOKEN_RE.match(value):
+        if not FORMAT_RE.fullmatch(value):
             raise SidecarSyntaxError(line_no, f"bad format tag: {value!r}")
     for value, line_no in values["language"]:
-        if not _LANGUAGE_TOKEN_RE.match(value):
+        if not _LANGUAGE_TOKEN_RE.fullmatch(value):
             raise SidecarSyntaxError(line_no, f"bad language code: {value!r}")
 
     date = None
-    if single("date"):
-        value, line_no = single("date")
+    for value, line_no in values["date"]:
         if not timestamps.is_canonical(value):
             raise SidecarSyntaxError(line_no, f"bad date: {value!r}")
         date = value
 
     doc_type = None
-    if single("type"):
-        value, line_no = single("type")
+    for value, line_no in values["type"]:
         if value not in DOC_TYPES:
             raise SidecarSyntaxError(line_no, f"bad type: {value!r}")
         doc_type = value
 
     summary = None
-    if single("summary"):
-        value, line_no = single("summary")
+    for value, line_no in values["summary"]:
         summary = decode_one("summary", value, line_no)
 
     access = ACCESS_PUBLIC
-    if single("access"):
-        value, line_no = single("access")
+    for value, line_no in values["access"]:
         if value not in ("0", "1", "2", "3"):
             raise SidecarSyntaxError(line_no, f"bad access level: {value!r}")
         access = int(value)

@@ -1,9 +1,14 @@
 """Canonical timestamp handling.
 
 Two lexical forms are canonical everywhere in the toolkit: a full UTC
-instant ``YYYY-MM-DDThh:mm:ssZ`` or a bare date ``YYYY-MM-DD``.  Carrier
-formats (exiftool-style ``2011:03:01 16:35:22Z``, PDF ``D:`` strings,
-ISO 8601 with offsets) are accepted as inputs and converted.
+instant ``YYYY-MM-DDThh:mm:ssZ`` or a bare date ``YYYY-MM-DD``, with
+ASCII digits only and nothing before or after (a trailing line feed
+makes a value non-canonical).  The check is one regex match plus integer
+calendar arithmetic: years 0001-9999, month lengths with Gregorian leap
+years, hours below 24, minutes and seconds below 60 (no leap second),
+which is what ``datetime`` accepts.  Carrier formats (exiftool-style
+``2011:03:01 16:35:22Z``, PDF ``D:`` strings, ISO 8601 with offsets)
+are accepted as inputs and converted.
 """
 
 from __future__ import annotations
@@ -13,28 +18,47 @@ from datetime import datetime, timedelta, timezone
 
 from .errors import InvalidTimestamp
 
-_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$", re.ASCII)
-_INSTANT_RE = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z$", re.ASCII)
-_DISPLAY_RE = re.compile(
-    r"^(\d{4}):(\d{2}):(\d{2}) (\d{2}):(\d{2}):(\d{2})(Z|[+-]\d{2}:\d{2})$", re.ASCII
-)
-_ISO_OFFSET_RE = re.compile(
-    r"^(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})(Z|[+-]\d{2}:\d{2})$", re.ASCII
-)
-_PDF_RE = re.compile(
-    r"^D:(\d{4})(\d{2})?(\d{2})?(\d{2})?(\d{2})?(\d{2})?"
-    r"(Z|[+-]\d{2}'(?:\d{2})'?)?$",
+#: the two canonical forms; the regex bounds month, day and clock fields,
+#: leaving only month lengths to arithmetic
+_CANONICAL_RE = re.compile(
+    r"(\d{4})-(0[1-9]|1[0-2])-(0[1-9]|[12]\d|3[01])"
+    r"(?:T([01]\d|2[0-3]):([0-5]\d):([0-5]\d)Z)?",
     re.ASCII,
 )
+_DISPLAY_RE = re.compile(
+    r"(\d{4}):(\d{2}):(\d{2}) (\d{2}):(\d{2}):(\d{2})(Z|[+-]\d{2}:\d{2})", re.ASCII
+)
+_ISO_OFFSET_RE = re.compile(
+    r"(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})(Z|[+-]\d{2}:\d{2})", re.ASCII
+)
+_PDF_RE = re.compile(
+    r"D:(\d{4})(\d{2})?(\d{2})?(\d{2})?(\d{2})?(\d{2})?"
+    r"(Z|[+-]\d{2}'(?:\d{2})'?)?",
+    re.ASCII,
+)
+#: days per month of a common year; February gains one in leap years
+_MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+
+
+def _match_canonical(value: str) -> re.Match | None:
+    """The match of a canonical *value* that names a real calendar day."""
+    m = _CANONICAL_RE.fullmatch(value)
+    if m is None:
+        return None
+    y, mo, d = m.group(1, 2, 3)
+    if y == "0000":
+        return None
+    # every month has 28 days; two ASCII digits compare as their numbers
+    if d <= "28":
+        return m
+    year, month = int(y), int(mo)
+    leap = month == 2 and year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+    return m if int(d) <= _MONTH_DAYS[month - 1] + leap else None
 
 
 def is_canonical(value: str) -> bool:
     """True when *value* is already in one of the two canonical forms."""
-    if _DATE_RE.match(value):
-        return _calendar_ok(value[:10])
-    if _INSTANT_RE.match(value):
-        return _calendar_ok(value[:10]) and _clock_ok(value[11:19])
-    return False
+    return _match_canonical(value) is not None
 
 
 def ensure_canonical(value: str) -> str:
@@ -42,19 +66,6 @@ def ensure_canonical(value: str) -> str:
     if not is_canonical(value):
         raise InvalidTimestamp(f"not a canonical UTC timestamp: {value!r}")
     return value
-
-
-def _calendar_ok(date_part: str) -> bool:
-    try:
-        datetime.strptime(date_part, "%Y-%m-%d")
-    except ValueError:
-        return False
-    return True
-
-
-def _clock_ok(time_part: str) -> bool:
-    h, m, s = (int(x) for x in time_part.split(":"))
-    return h < 24 and m < 60 and s < 60
 
 
 def _utc_string(dt: datetime) -> str:
@@ -80,7 +91,7 @@ def normalize(value: str) -> str:
     if is_canonical(value):
         return value
 
-    m = _DISPLAY_RE.match(value) or _ISO_OFFSET_RE.match(value)
+    m = _DISPLAY_RE.fullmatch(value) or _ISO_OFFSET_RE.fullmatch(value)
     if m:
         y, mo, d, h, mi, s, tz = m.groups()
         dt = _build(y, mo, d, h, mi, s)
@@ -88,7 +99,7 @@ def normalize(value: str) -> str:
             dt -= _offset_delta(tz)
         return _utc_string(dt.replace(tzinfo=timezone.utc))
 
-    m = _PDF_RE.match(value)
+    m = _PDF_RE.fullmatch(value)
     if m:
         y, mo, d, h, mi, s, tz = m.groups()
         dt = _build(y, mo or "01", d or "01", h or "00", mi or "00", s or "00")
@@ -114,9 +125,7 @@ def as_datetime(value: str) -> datetime:
 
     Bare dates count as midnight UTC.
     """
-    ensure_canonical(value)
-    if len(value) == 10:
-        dt = datetime.strptime(value, "%Y-%m-%d")
-    else:
-        dt = datetime.strptime(value, "%Y-%m-%dT%H:%M:%SZ")
-    return dt.replace(tzinfo=timezone.utc)
+    m = _match_canonical(value)
+    if m is None:
+        raise InvalidTimestamp(f"not a canonical UTC timestamp: {value!r}")
+    return datetime(*(int(g or 0) for g in m.groups()), tzinfo=timezone.utc)

@@ -5,10 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .metabase import AUTHORS, ORGANIZATIONS, SUBJECTS_PREFIX, Metabase, resolve
-from .model import UmsRecord
-
-STRICT = "strict"
-LENIENT = "lenient"
+from .model import LENIENT, STRICT, UmsRecord
 
 #: fields every description should carry (the identification triple)
 REQUIRED_FIELDS = ("name", "format", "date")

@@ -6,6 +6,8 @@ import the code paths they exist to check.
 
 from __future__ import annotations
 
+from datetime import datetime
+
 
 def isbn13_valid(candidate: str) -> bool:
     """Try all ten final digits; the candidate must carry the unique one
@@ -84,3 +86,78 @@ def related_ranking(records, record):
         union = mine | theirs
         scored.append((other.name, len(shared) / len(union)))
     return sorted(scored, key=lambda item: (-item[1], item[0]))
+
+
+def split_fields_reference(value: str) -> list[str]:
+    """Split on unescaped ``|`` one character at a time; a backslash takes
+    the next character with it, a final lone backslash stays as it is."""
+    fields: list[str] = []
+    current: list[str] = []
+    i = 0
+    n = len(value)
+    while i < n:
+        ch = value[i]
+        if ch == "\\" and i + 1 < n:
+            current.append(value[i : i + 2])
+            i += 2
+        elif ch == "|":
+            fields.append("".join(current))
+            current = []
+            i += 1
+        else:
+            current.append(ch)
+            i += 1
+    fields.append("".join(current))
+    return fields
+
+
+def unescape_reference(value: str) -> str:
+    """Decode the three escapes one character at a time, failing on the
+    first stray backslash."""
+    out: list[str] = []
+    i = 0
+    n = len(value)
+    while i < n:
+        ch = value[i]
+        if ch == "\\":
+            if i + 1 >= n:
+                raise ValueError("dangling backslash")
+            nxt = value[i + 1]
+            if nxt == "\\":
+                out.append("\\")
+            elif nxt == "n":
+                out.append("\n")
+            elif nxt == "|":
+                out.append("|")
+            else:
+                raise ValueError(f"bad escape \\{nxt}")
+            i += 2
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
+#: ``d`` marks a position that must hold an ASCII digit
+_TIMESTAMP_SHAPES = {
+    10: ("dddd-dd-dd", "%Y-%m-%d"),
+    20: ("dddd-dd-ddTdd:dd:ddZ", "%Y-%m-%dT%H:%M:%SZ"),
+}
+
+
+def canonical_timestamp_reference(value: str) -> bool:
+    """Check the shape position by position, then let ``strptime`` judge
+    the calendar and the clock."""
+    if len(value) not in _TIMESTAMP_SHAPES:
+        return False
+    shape, fmt = _TIMESTAMP_SHAPES[len(value)]
+    for ch, want in zip(value, shape):
+        if want == "d" and ch not in "0123456789":
+            return False
+        if want != "d" and ch != want:
+            return False
+    try:
+        datetime.strptime(value, fmt)
+    except ValueError:
+        return False
+    return True

@@ -221,6 +221,26 @@ class TestAnnotate:
         assert code == 2
         assert "broken" in capsys.readouterr().err
 
+    def test_format_payload_with_line_feed_is_refused(self, tmp_path, capsys):
+        path = write_sidecar(tmp_path / "doc.ums", full_record())
+        before = path.read_bytes()
+        code = main(
+            [
+                "annotate",
+                str(path),
+                "--event",
+                "reformat",
+                "--payload",
+                "html\n",
+                "--timestamp",
+                "2012-05-01T00:00:00Z",
+            ]
+        )
+        assert code == 2
+        assert "bad format tag" in capsys.readouterr().err
+        assert path.read_bytes() == before
+        assert main(["history", str(path)]) == 0
+
 
 class TestHistory:
     def test_verify_prints_chain_length(self, tmp_path, capsys):

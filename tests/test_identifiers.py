@@ -63,12 +63,15 @@ class TestDoi:
     def test_whitespace_suffix_rejected(self):
         assert validate_identifier("DOI", "10.1234/with space").reason == "BadSyntax"
 
+    def test_trailing_line_feed_rejected(self):
+        assert validate_identifier("DOI", "10.1234/abc\n").reason == "BadSyntax"
+
 
 class TestPmid:
     def test_the_cathepsin_article_pmid(self):
         assert validate_identifier("PMID", "21383996").valid
 
-    @pytest.mark.parametrize("bad", ["0", "012345", "123456789", "12a4"])
+    @pytest.mark.parametrize("bad", ["0", "012345", "123456789", "12a4", "123\n"])
     def test_bad_pmids(self, bad):
         assert not validate_identifier("PMID", bad).valid
 
@@ -80,7 +83,7 @@ class TestUrn:
 
     @pytest.mark.parametrize(
         "bad",
-        ["urn::nss", "urn:urn:nss", "isbn:0451450523", "urn:a:%zz", "urn:a:"],
+        ["urn::nss", "urn:urn:nss", "isbn:0451450523", "urn:a:%zz", "urn:a:", "urn:isbn\n:0451450523"],
     )
     def test_bad_urns(self, bad):
         assert not validate_identifier("URN", bad).valid

@@ -139,3 +139,14 @@ def test_repeat_suffixed_keys_match_their_base_rule():
     record, unmapped = map_raw_to_ums(raw)
     assert record.name == "first"
     assert ("Title (1)", "second") in unmapped
+
+
+def test_format_value_with_trailing_line_feed_falls_back_to_carrier():
+    raw = RawMetadata(carrier="pdf", pairs=(("FileType", "HTML\n"),), byte_size=1)
+    record, _ = map_raw_to_ums(raw)
+    assert record.formats == ("pdf",)
+
+
+def test_identifier_target_with_trailing_line_feed_rejected():
+    with pytest.raises(MappingError):
+        MappingTable(rules=(MappingRule("pdf", "Title", "identifier:DOI\n"),))

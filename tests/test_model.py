@@ -122,3 +122,15 @@ class TestRecordInvariants:
         skipped = ProvenanceEvent(2, "2020-01-02", "rename", "n", "a" * 16)
         with pytest.raises(InvariantViolation):
             UmsRecord(name="x", history=(good, skipped))
+
+    def test_trailing_line_feed_is_not_part_of_a_token(self):
+        from ums.model import ProvenanceEvent
+
+        with pytest.raises(InvariantViolation):
+            UmsRecord(name="x", formats=("pdf\n",))
+        with pytest.raises(InvariantViolation):
+            IdentifierBinding(system="DOI\n", id="10.1234/abc")
+        with pytest.raises(InvariantViolation):
+            ProvenanceEvent(1, "2020-01-02", "rename", "n", "a" * 16 + "\n")
+        with pytest.raises(InvariantViolation):
+            SystematicName(kind="person", who=("A",), qualifier="12\n")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import recgen
 from ums.errors import (
     DuplicateSingletonKey,
+    InvalidTimestamp,
     InvariantViolation,
     SidecarSyntaxError,
     UnknownKey,
@@ -149,3 +150,43 @@ def test_round_trip_and_idempotence(seed):
     data = canonical_serialize(record)
     assert parse_record(data) == record
     assert canonical_serialize(parse_record(data)) == data
+
+
+def test_date_with_trailing_line_feed_cannot_reach_the_serializer():
+    with pytest.raises(InvalidTimestamp):
+        UmsRecord(name="x", formats=("pdf",), date="2011-03-01\n")
+
+
+GOOD_LINES = [
+    "ums: 1",
+    "name: x",
+    "format: pdf",
+    "date: 2011-03-01",
+    "language: en",
+    "history: 0|2011-03-01|create||0000000000000000",
+]
+
+
+@pytest.mark.parametrize(
+    "line_no, bad_line",
+    [
+        (3, "format: PDF"),
+        (3, "format: pdf!"),
+        (5, "language: EN"),
+        (4, "date: 2011-02-29"),
+        (4, "date: 2011-03-01T16:35:22"),
+        (6, "history: 0|2011-02-29|create||0000000000000000"),
+        (6, "history: 0|2011-03-01T24:00:00Z|create||0000000000000000"),
+        (6, "history: 0|2011-03-01|creation||0000000000000000"),
+        (6, "history: 0|2011-03-01|create||000000000000000G"),
+        (6, "history: 0|2011-03-01|create||00000000000000000"),
+        (6, "history: 0|2011-03-01|create|\\|0000000000000000"),
+        (6, "history: 00|2011-03-01|create||0000000000000000"),
+    ],
+)
+def test_bad_value_names_its_line(line_no, bad_line):
+    lines = list(GOOD_LINES)
+    lines[line_no - 1] = bad_line
+    with pytest.raises(SidecarSyntaxError) as excinfo:
+        parse_record(("\n".join(lines) + "\n").encode())
+    assert excinfo.value.line == line_no

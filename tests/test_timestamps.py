@@ -1,7 +1,11 @@
 from __future__ import annotations
 
-import pytest
+from datetime import datetime, timezone
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
 from ums import timestamps
 from ums.errors import InvalidTimestamp
 
@@ -47,3 +51,61 @@ def test_as_datetime_orders_date_and_instant():
     assert timestamps.as_datetime("2011-03-01") < timestamps.as_datetime(
         "2011-03-01T00:00:01Z"
     )
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        ("1900-02-29", False),
+        ("2000-02-29", True),
+        ("2024-02-29", True),
+        ("2023-02-29", False),
+        ("0000-01-01", False),
+        ("0001-01-01", True),
+        ("2011-00-01", False),
+        ("2011-13-01", False),
+        ("2011-03-00", False),
+        ("2011-03-32", False),
+        ("2011-04-31", False),
+        ("2011-12-31T23:59:59Z", True),
+        ("2011-03-01T24:00:00Z", False),
+        ("2011-03-01T00:60:00Z", False),
+        ("2011-03-01T00:00:60Z", False),
+        ("٢٠١١-03-01", False),
+        ("2011-03-01\n", False),
+        ("2011-03-01T16:35:22Z\n", False),
+        ("2011-3-01", False),
+        ("2011-03-01T16:35:22", False),
+    ],
+)
+def test_canonical_check_agrees_with_strptime(value, expected):
+    assert timestamps.is_canonical(value) is expected
+    assert oracles.canonical_timestamp_reference(value) is expected
+
+
+_YEARS = st.one_of(
+    st.integers(0, 9999).map("{:04d}".format), st.sampled_from(["٢٠١١", "20 1", "+011"])
+)
+_TWO = st.one_of(st.integers(0, 32), st.integers(0, 99)).map("{:02d}".format)
+_NEAR_CANONICAL = st.builds(
+    lambda y, mo, d, clock, tail: f"{y}-{mo}-{d}{clock}{tail}",
+    _YEARS,
+    _TWO,
+    _TWO,
+    st.one_of(st.just(""), st.builds("T{}:{}:{}Z".format, _TWO, _TWO, _TWO)),
+    st.sampled_from(["", "", "", "\n", " ", "Z"]),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_NEAR_CANONICAL)
+def test_canonical_check_matches_strptime_reference(value):
+    canonical = timestamps.is_canonical(value)
+    assert canonical == oracles.canonical_timestamp_reference(value)
+    if canonical:
+        fmt = "%Y-%m-%d" if len(value) == 10 else "%Y-%m-%dT%H:%M:%SZ"
+        expected = datetime.strptime(value, fmt).replace(tzinfo=timezone.utc)
+        assert timestamps.as_datetime(value) == expected
+    else:
+        with pytest.raises(InvalidTimestamp):
+            timestamps.as_datetime(value)
