@@ -8,6 +8,7 @@ scored with Jaccard similarity over tag sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import UnknownRecord
@@ -68,47 +69,74 @@ def jaccard(a: frozenset, b: frozenset) -> float:
 
 @dataclass(frozen=True)
 class CorpusIndex:
-    """Immutable snapshot of a record corpus plus its tag/location indexes."""
+    """Immutable snapshot of a record corpus plus its tag postings.
+
+    ``tag_index`` maps each tag to the records carrying it, in corpus
+    order; ``untagged`` maps ``id(record)`` to each record without tags,
+    so membership of an indexed record never scans the corpus.
+    """
 
     records: tuple[UmsRecord, ...]
-    tag_index: dict[str, tuple[str, ...]]
-    location_index: dict[str, tuple[str, ...]]
+    tag_index: dict[str, tuple[UmsRecord, ...]]
+    untagged: dict[int, UmsRecord]
 
 
 def build_index(records: Sequence[UmsRecord]) -> CorpusIndex:
     """One-pass index build; rebuilding from the same records is identical."""
-    tag_index: dict[str, list[str]] = {}
-    location_index: dict[str, list[str]] = {}
+    tag_index: dict[str, list[UmsRecord]] = {}
+    untagged: dict[int, UmsRecord] = {}
     for record in records:
+        if not record.tags:
+            untagged[id(record)] = record
         for tag in record.tags:
-            tag_index.setdefault(tag, []).append(record.name)
-        for location in record.locations:
-            location_index.setdefault(location, []).append(record.name)
+            tag_index.setdefault(tag, []).append(record)
     return CorpusIndex(
         records=tuple(records),
-        tag_index={t: tuple(sorted(ns)) for t, ns in sorted(tag_index.items())},
-        location_index={
-            loc: tuple(sorted(ns)) for loc, ns in sorted(location_index.items())
-        },
+        tag_index={tag: tuple(rs) for tag, rs in tag_index.items()},
+        untagged=untagged,
     )
 
 
 def related(index: CorpusIndex, record: UmsRecord) -> list[tuple[str, float]]:
     """Rank other records sharing at least one tag by Jaccard similarity.
 
-    Ties break on name; the record itself is excluded.  Raises
-    UnknownRecord when *record* is not part of the index.
+    Candidates come from the postings of the record's own tags.  Ties
+    break on name; the record itself, and any record equal to it, is
+    excluded.  Raises UnknownRecord when *record* is not part of the
+    index.
     """
-    if record not in index.records:
+    mine = record.tags
+    if not mine:
+        untagged = index.untagged
+        if untagged.get(id(record)) is not record and record not in untagged.values():
+            raise UnknownRecord(f"record not in index: {record.name!r}")
+        return []
+    indexed = False
+    counts: dict[int, int] = {}  # id -> postings of *mine* that hold it
+    others: dict[int, UmsRecord] = {}
+    for tag in mine:
+        for other in index.tag_index.get(tag, ()):
+            key = id(other)
+            if key in counts:
+                counts[key] += 1
+            elif other is record or (other.name == record.name and other == record):
+                indexed = True
+            else:
+                counts[key] = 1
+                others[key] = other
+    if not indexed:
         raise UnknownRecord(f"record not in index: {record.name!r}")
-    mine = frozenset(record.tags)
+    # A record listed k times in the corpus sits k times in each of its
+    # postings, so its count is k * shared.  Tags are unique per record,
+    # so |mine | theirs| = |mine| + |theirs| - shared.
     scored: list[tuple[str, float]] = []
-    for other in index.records:
-        if other is record or other == record:
-            continue
-        theirs = frozenset(other.tags)
-        if not (mine & theirs):
-            continue
-        scored.append((other.name, jaccard(mine, theirs)))
-    scored.sort(key=lambda item: (-item[1], item[0]))
+    for key, count in counts.items():
+        other = others[key]
+        shared = 1 if count == 1 else len(set(mine).intersection(other.tags))
+        pair = (other.name, shared / (len(mine) + len(other.tags) - shared))
+        scored.append(pair)
+        if count > shared:
+            scored += [pair] * (count // shared - 1)
+    scored.sort(key=itemgetter(0))
+    scored.sort(key=itemgetter(1), reverse=True)  # stable: ties stay by name
     return scored

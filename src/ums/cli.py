@@ -19,6 +19,7 @@ from .errors import UmsError
 from .extractors import (
     CARRIER_HTML,
     CARRIER_PDF,
+    CARRIER_SIDECAR,
     DEFAULT_MAPPING,
     extract_html_meta,
     extract_pdf_info,
@@ -64,7 +65,7 @@ def _detect_carrier(path: str, data: bytes, flag: str) -> str:
     if lowered.endswith((".html", ".htm")):
         return CARRIER_HTML
     if lowered.endswith(SIDECAR_EXTENSION):
-        return "sidecar"
+        return CARRIER_SIDECAR
     if data.lstrip()[:1] == b"<":
         return CARRIER_HTML
     raise _Operational(f"cannot determine carrier of {path}; use --carrier")
@@ -119,7 +120,10 @@ def _sidecar_paths(directory: str) -> list[str]:
 def _load_corpus(directory: str):
     records = []
     for path in _sidecar_paths(directory):
-        records.append(parse_record(_read(path), STRICT))
+        try:
+            records.append(parse_record(_read(path), STRICT))
+        except UmsError as exc:
+            raise _Operational(f"{path}: {exc}") from None
     return records
 
 
@@ -144,7 +148,7 @@ def cmd_extract(args) -> int:
 def cmd_lint(args) -> int:
     data = _read(args.path)
     carrier = _detect_carrier(args.path, data, args.carrier)
-    if carrier == "sidecar":
+    if carrier == CARRIER_SIDECAR:
         record = parse_record(data, LENIENT)
         findings = lint_record(record, _load_metabase(args))
     else:
@@ -238,13 +242,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract carrier metadata")
     p.add_argument("path")
-    p.add_argument("--carrier", choices=("auto", "pdf", "html"), default="auto")
+    p.add_argument("--carrier", choices=("auto", CARRIER_PDF, CARRIER_HTML), default="auto")
     p.add_argument("--raw", action="store_true", help="print raw key = value pairs")
     p.set_defaults(handler=cmd_extract)
 
     p = sub.add_parser("lint", help="diagnose metadata defects")
     p.add_argument("path")
-    p.add_argument("--carrier", choices=("auto", "pdf", "html", "sidecar"), default="auto")
+    p.add_argument(
+        "--carrier",
+        choices=("auto", CARRIER_PDF, CARRIER_HTML, CARRIER_SIDECAR),
+        default="auto",
+    )
     p.add_argument("--json", action="store_true", help="machine-readable findings")
     p.set_defaults(handler=cmd_lint)
 
@@ -281,13 +289,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except _Operational as exc:
-        print(f"ums: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except UmsError as exc:
-        print(f"ums: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (_Operational, UmsError, OSError) as exc:
         print(f"ums: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -8,7 +8,6 @@ from typing import Optional
 CARRIER_PDF = "pdf"
 CARRIER_HTML = "html"
 CARRIER_SIDECAR = "sidecar"
-CARRIERS = (CARRIER_PDF, CARRIER_HTML, CARRIER_SIDECAR)
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,6 @@ from .mapping import (  # noqa: E402
 from .pdf import extract_pdf_info  # noqa: E402
 
 __all__ = [
-    "CARRIERS",
     "CARRIER_HTML",
     "CARRIER_PDF",
     "CARRIER_SIDECAR",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from .errors import DuplicateEntry, SidecarSyntaxError, UnknownSystem
@@ -31,13 +31,12 @@ class CatalogEntry:
 
     systematic_name: SystematicName
     synonyms: tuple[str, ...] = ()
+    #: the systematic name's canonical string, escaped once at construction
+    canonical: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "synonyms", tuple(nfc(s) for s in self.synonyms))
-
-    @property
-    def canonical(self) -> str:
-        return self.systematic_name.canonical
+        object.__setattr__(self, "canonical", self.systematic_name.canonical)
 
 
 @dataclass(frozen=True)
@@ -46,24 +45,26 @@ class Catalog:
 
     name: str
     entries: tuple[CatalogEntry, ...] = ()
+    #: canonical string or synonym -> its entry; the two sets are disjoint
+    exact: dict[str, CatalogEntry] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen: set[str] = set()
+        exact: dict[str, CatalogEntry] = {}
         for entry in self.entries:
-            if entry.canonical in seen:
+            if entry.canonical in exact:
                 raise DuplicateEntry(f"duplicate canonical string: {entry.canonical}")
-            seen.add(entry.canonical)
-        names = set(seen)
-        synonyms_seen: set[str] = set()
+            exact[entry.canonical] = entry
         for entry in self.entries:
             for syn in entry.synonyms:
-                if syn in names:
-                    raise DuplicateEntry(
-                        f"synonym collides with a canonical string: {syn!r}"
-                    )
-                if syn in synonyms_seen:
+                owner = exact.get(syn)
+                if owner is not None:
+                    if owner.canonical == syn:
+                        raise DuplicateEntry(
+                            f"synonym collides with a canonical string: {syn!r}"
+                        )
                     raise DuplicateEntry(f"synonym used twice: {syn!r}")
-                synonyms_seen.add(syn)
+                exact[syn] = entry
+        object.__setattr__(self, "exact", exact)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -88,9 +89,9 @@ def resolve(catalog: Catalog, query: str) -> Resolution:
     entry whose who-part contains the query becomes a candidate, ordered
     by canonical string."""
     query = nfc(query)
-    for entry in catalog.entries:
-        if entry.canonical == query or query in entry.synonyms:
-            return Resolution(kind="exact", entry=entry)
+    entry = catalog.exact.get(query)
+    if entry is not None:
+        return Resolution(kind="exact", entry=entry)
     candidates = [
         entry for entry in catalog.entries if query in entry.systematic_name.who
     ]
@@ -176,12 +177,22 @@ class Metabase:
     """All catalogs known to one validation run, keyed by catalog name."""
 
     catalogs: tuple[Catalog, ...] = ()
+    #: catalog name -> the first catalog of that name
+    by_name: dict[str, Catalog] = field(init=False, repr=False, compare=False)
+    #: upper-cased tokens of the systems catalog
+    system_set: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_name: dict[str, Catalog] = {}
+        for catalog in self.catalogs:
+            by_name.setdefault(catalog.name, catalog)
+        object.__setattr__(self, "by_name", by_name)
+        object.__setattr__(
+            self, "system_set", frozenset(t.upper() for t in self.system_tokens())
+        )
 
     def get(self, name: str) -> Optional[Catalog]:
-        for catalog in self.catalogs:
-            if catalog.name == name:
-                return catalog
-        return None
+        return self.by_name.get(name)
 
     def with_catalog(self, catalog: Catalog) -> "Metabase":
         kept = tuple(c for c in self.catalogs if c.name != catalog.name)
@@ -194,7 +205,7 @@ class Metabase:
         return tuple(entry.systematic_name.who[0] for entry in systems.entries)
 
     def is_registered_system(self, token: str) -> bool:
-        return token.upper() in {t.upper() for t in self.system_tokens()}
+        return token.upper() in self.system_set
 
     def check_identifier(self, system: str, id: str) -> IdentifierCheck:
         """validate_identifier against this metabase's systems catalog."""
@@ -226,12 +237,9 @@ def load_metabase(directory: Union[str, os.PathLike]) -> Metabase:
         if existing is None:
             base = base.with_catalog(loaded)
             continue
-        merged = existing
         present = {entry.canonical for entry in existing.entries}
-        for entry in loaded.entries:
-            if entry.canonical in present:
-                continue
-            merged = register(merged, entry)
-            present.add(entry.canonical)
-        base = base.with_catalog(merged)
+        fresh = tuple(e for e in loaded.entries if e.canonical not in present)
+        base = base.with_catalog(
+            Catalog(name=existing.name, entries=existing.entries + fresh)
+        )
     return base

@@ -6,6 +6,7 @@ import the code paths they exist to check.
 
 from __future__ import annotations
 
+import unicodedata
 from datetime import datetime
 
 
@@ -161,3 +162,20 @@ def canonical_timestamp_reference(value: str) -> bool:
     except ValueError:
         return False
     return True
+
+
+def resolve_reference(catalog, query: str):
+    """Scan every entry in order for an exact canonical or synonym hit;
+    otherwise collect who-part matches sorted by canonical string.
+    Returns ``(kind, entry, candidates)``."""
+    query = unicodedata.normalize("NFC", query)
+    for entry in catalog.entries:
+        if entry.systematic_name.canonical == query or query in entry.synonyms:
+            return ("exact", entry, ())
+    candidates = [
+        entry for entry in catalog.entries if query in entry.systematic_name.who
+    ]
+    if candidates:
+        candidates.sort(key=lambda e: e.systematic_name.canonical)
+        return ("candidates", None, tuple(candidates))
+    return ("none", None, ())

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import random
 
 import pytest
@@ -103,10 +105,57 @@ class TestRelated:
                     records, record
                 )
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_oracle_with_copies_namesakes_and_untagged(self, seed):
+        """Equal copies, records sharing a name, untagged records and one
+        object listed twice all rank as the exhaustive scan ranks them."""
+        rng = random.Random(seed)
+        pool = ("x", "y", "z", "project:ums")
+        records = []
+        for i in range(rng.randint(1, 12)):
+            tags = tuple(rng.sample(pool, rng.randint(0, len(pool))))
+            records.append(rec(f"r{rng.randrange(4)}", tags=tags, date=f"20{i:02d}-01-01"))
+            roll = rng.random()
+            if roll < 0.2:
+                records.append(copy.copy(records[-1]))  # equal, not identical
+            elif roll < 0.3:
+                records.append(records[-1])  # the same object again
+            elif roll < 0.4:
+                records.append(dataclasses.replace(records[-1], tags=()))
+        rng.shuffle(records)
+        index = build_index(records)
+        for record in records:
+            expected = oracles.related_ranking(records, record)
+            assert related(index, record) == expected
+            assert related(index, copy.copy(record)) == expected
+
+    def test_equal_copy_is_accepted_and_excluded(self):
+        records = [rec("a", tags=("x",)), rec("b", tags=("x",)), rec("u")]
+        index = build_index(records)
+        assert related(index, copy.copy(records[0])) == [("b", 1.0)]
+        assert related(index, copy.copy(records[2])) == []
+
     def test_unknown_record_rejected(self):
         index = build_index([rec("a")])
         with pytest.raises(UnknownRecord):
             related(index, rec("ghost"))
+
+    def test_unknown_tagged_record_rejected(self):
+        index = build_index([rec("a", tags=("x",)), rec("b")])
+        with pytest.raises(UnknownRecord):
+            related(index, rec("ghost", tags=("x",)))
+        with pytest.raises(UnknownRecord):
+            related(index, rec("ghost", tags=("never-indexed",)))
+        with pytest.raises(UnknownRecord):  # same name and tags, other date
+            related(index, rec("a", tags=("x",), date="1999-01-01"))
+
+    def test_unknown_untagged_record_rejected(self):
+        index = build_index([rec("a", tags=("x",)), rec("b")])
+        with pytest.raises(UnknownRecord):
+            related(index, rec("ghost"))
+        with pytest.raises(UnknownRecord):
+            related(index, rec("b", date="1999-01-01"))
 
 
 class TestIndex:
@@ -117,12 +166,12 @@ class TestIndex:
 
     def test_indexes_reflect_records(self):
         records = [
-            rec("a", tags=("x",), locations=("http://1",)),
-            rec("b", tags=("x", "y"), locations=("http://1", "http://2")),
+            rec("b", tags=("x", "y")),
+            rec("a", tags=("x",)),
         ]
         index = build_index(records)
-        assert index.tag_index == {"x": ("a", "b"), "y": ("b",)}
-        assert index.location_index == {"http://1": ("a", "b"), "http://2": ("b",)}
+        names = {tag: [r.name for r in rs] for tag, rs in index.tag_index.items()}
+        assert names == {"x": ["b", "a"], "y": ["b"]}
 
 
 def test_jaccard_of_two_empty_sets_is_zero():

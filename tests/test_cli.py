@@ -298,6 +298,18 @@ class TestGroupAndRelated:
         corpus = self.make_corpus(tmp_path)
         assert main(["related", str(corpus), "nobody"]) == 2
 
+    @pytest.mark.parametrize("command", [["group", "--by", "theme"], ["related", "alpha"]])
+    def test_broken_sidecar_is_named_with_its_line(self, tmp_path, capsys, command):
+        corpus = self.make_corpus(tmp_path)
+        broken = corpus / "b.ums"
+        lines = broken.read_bytes().split(b"\n")
+        lines[2] = b"format: PDF"
+        broken.write_bytes(b"\n".join(lines))
+        argv = [command[0], str(corpus), *command[1:]]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ums: {broken}: line 3: ")
+
 
 def test_module_entry_point_runs():
     result = subprocess.run(

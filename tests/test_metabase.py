@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import random
+import unicodedata
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from ums.errors import DuplicateEntry, SidecarSyntaxError, UnknownSystem
 from ums.metabase import (
     AUTHORS,
     Catalog,
     CatalogEntry,
+    Metabase,
     dump_catalog,
     empty_metabase,
     load_catalog,
@@ -93,6 +96,51 @@ class TestResolve:
 
     def test_no_match_is_none(self):
         assert resolve(small_catalog(), "nobody").kind == "none"
+
+
+#: who-parts and synonyms with composed letters, so NFD spellings differ
+_WORDS = ("José", "Zoë", "Андрей", "Grace", "Hopper", "a|b", "x\\y", "Ångström", "li")
+
+
+def random_catalog(rng: random.Random) -> Catalog:
+    """Entries whose synonyms may clash; clashing entries are left out."""
+    catalog = Catalog(name=AUTHORS)
+    for _ in range(rng.randint(0, 10)):
+        name = SystematicName(
+            kind=rng.choice(("person", "organization", "other")),
+            who=tuple(rng.sample(_WORDS, rng.randint(1, 3))),
+            when=rng.choice((None, "1906-12-09", "1980-06-15")),
+            where=rng.choice((None, "Berlin", "Köln")),
+        )
+        synonyms = tuple(
+            " ".join(rng.sample(_WORDS, rng.randint(1, 2)))
+            for _ in range(rng.randint(0, 2))
+        )
+        try:
+            catalog = register(catalog, CatalogEntry(name, synonyms))
+        except DuplicateEntry:
+            continue
+    return catalog
+
+
+class TestResolveMatchesScan:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_resolve_equals_linear_scan(self, seed):
+        rng = random.Random(seed)
+        catalog = random_catalog(rng)
+        queries = ["nobody", "", "Zo", "José Zoë"]
+        for entry in catalog.entries:
+            queries.append(entry.canonical)
+            queries.extend(entry.synonyms)
+            queries.extend(entry.systematic_name.who)
+        queries += [unicodedata.normalize("NFD", q) for q in queries]
+        for query in queries:
+            got = resolve(catalog, query)
+            kind, entry, candidates = oracles.resolve_reference(catalog, query)
+            assert got.kind == kind, query
+            assert got.entry is entry, query
+            assert [id(e) for e in got.candidates] == [id(e) for e in candidates]
 
 
 class TestRegister:
@@ -182,3 +230,65 @@ class TestMetabase:
         metabase = load_metabase(tmp_path)
         assert metabase.is_registered_system("ARXIV")
         assert metabase.is_registered_system("DOI")
+
+    def test_same_name_catalogs_merge_in_file_order(self, tmp_path):
+        """Two files of one catalog: the second adds what the first lacks,
+        in its own order, and skips the canonical strings already there,
+        as registering its entries one by one would."""
+        ada = make_systematic_name(
+            "person", who=["Ada", "Lovelace"], when="1815-12-10", where="London"
+        )
+        first = Catalog(
+            name=AUTHORS,
+            entries=(
+                CatalogEntry(systematic_name=GRACE, synonyms=("Admiral Hopper",)),
+                CatalogEntry(systematic_name=ANDREI_ONE),
+            ),
+        )
+        second = Catalog(
+            name=AUTHORS,
+            entries=(
+                CatalogEntry(systematic_name=ANDREI_TWO, synonyms=("А. Петров",)),
+                CatalogEntry(systematic_name=GRACE, synonyms=("Amazing Grace",)),
+                CatalogEntry(systematic_name=ada),
+                CatalogEntry(systematic_name=ANDREI_ONE),
+            ),
+        )
+        (tmp_path / "a-authors.catalog").write_bytes(dump_catalog(first))
+        (tmp_path / "b-authors.catalog").write_bytes(dump_catalog(second))
+        expected = first
+        for entry in second.entries:
+            if entry.canonical not in {e.canonical for e in expected.entries}:
+                expected = register(expected, entry)
+        merged = load_metabase(tmp_path).get(AUTHORS)
+        assert merged == expected
+        assert [e.canonical for e in merged.entries] == [
+            GRACE.canonical,
+            ANDREI_ONE.canonical,
+            ANDREI_TWO.canonical,
+            ada.canonical,
+        ]
+        assert merged.entries[0].synonyms == ("Admiral Hopper",)
+        assert resolve(merged, "А. Петров").entry.systematic_name == ANDREI_TWO
+
+    @pytest.mark.parametrize("synonym_first", [False, True])
+    def test_merge_keeps_rejecting_a_clashing_synonym(self, tmp_path, synonym_first):
+        """A synonym in either file that spells the other file's canonical
+        string is a clash, not an entry already present."""
+        plain = CatalogEntry(systematic_name=GRACE)
+        clashing = CatalogEntry(systematic_name=ANDREI_ONE, synonyms=(GRACE.canonical,))
+        if synonym_first:
+            plain, clashing = clashing, plain
+        first = Catalog(name=AUTHORS, entries=(plain,))
+        second = Catalog(name=AUTHORS, entries=(clashing,))
+        (tmp_path / "a.catalog").write_bytes(dump_catalog(first))
+        (tmp_path / "b.catalog").write_bytes(dump_catalog(second))
+        with pytest.raises(DuplicateEntry):
+            load_metabase(tmp_path)
+
+    def test_get_returns_the_first_catalog_of_a_name(self):
+        one = Catalog(name=AUTHORS, entries=(CatalogEntry(systematic_name=GRACE),))
+        two = Catalog(name=AUTHORS)
+        metabase = Metabase(catalogs=(one, two))
+        assert metabase.get(AUTHORS) is one
+        assert metabase.get("nothing") is None
