@@ -61,12 +61,6 @@ def group_by(
     return out
 
 
-def jaccard(a: frozenset, b: frozenset) -> float:
-    if not a and not b:
-        return 0.0
-    return len(a & b) / len(a | b)
-
-
 @dataclass(frozen=True)
 class CorpusIndex:
     """Immutable snapshot of a record corpus plus its tag postings.

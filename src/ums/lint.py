@@ -15,8 +15,10 @@ from typing import Iterable, Optional, Sequence
 from .errors import UnknownSystem
 from .extractors import RawMetadata, base_key
 from .identifiers import BUILTIN_SYSTEMS, validate_identifier
-from .metabase import AUTHORS, Metabase, ORGANIZATIONS, resolve
+# perfbench/spans.py wraps ums.lint.resolve, and a traced run fails if it is unbound
+from .metabase import Metabase, resolve  # noqa: F401
 from .model import UmsRecord
+from .validation import creator_known
 
 ERROR = "error"
 WARNING = "warning"
@@ -143,14 +145,6 @@ def lint_raw(
     return findings
 
 
-def _creator_cataloged(metabase: Metabase, creator: str) -> bool:
-    for catalog_name in (AUTHORS, ORGANIZATIONS):
-        catalog = metabase.get(catalog_name)
-        if catalog is not None and resolve(catalog, creator).kind == "exact":
-            return True
-    return False
-
-
 def lint_record(
     record: UmsRecord,
     metabase: Optional[Metabase] = None,
@@ -178,7 +172,7 @@ def lint_record(
 
     if metabase is not None:
         for creator in record.creators:
-            if not _creator_cataloged(metabase, creator):
+            if not creator_known(metabase, creator):
                 findings.append(
                     LintFinding(
                         code="UNCATALOGED_CREATOR",

@@ -13,8 +13,8 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
-from .errors import DuplicateEntry, SidecarSyntaxError, UnknownSystem
-from .identifiers import BUILTIN_SYSTEMS, IdentifierCheck, validate_identifier
+from .errors import DuplicateEntry, SidecarSyntaxError
+from .identifiers import BUILTIN_SYSTEMS
 from .model import SystematicName, nfc, parse_systematic_name
 
 CATALOG_HEADER = "metabase-catalog: 1"
@@ -206,12 +206,6 @@ class Metabase:
 
     def is_registered_system(self, token: str) -> bool:
         return token.upper() in self.system_set
-
-    def check_identifier(self, system: str, id: str) -> IdentifierCheck:
-        """validate_identifier against this metabase's systems catalog."""
-        if not self.is_registered_system(system):
-            raise UnknownSystem(f"system not registered: {system!r}")
-        return validate_identifier(system, id, registered=self.system_tokens())
 
 
 def empty_metabase() -> Metabase:

@@ -156,57 +156,47 @@ class _Inconsistent(Exception):
         self.detail = detail
 
 
-def _simulate(prefix: list, contributions: list) -> list:
-    out = list(prefix)
-    for _, value in contributions:
-        if value not in out:
-            out.append(value)
-    return out
-
-
 def _reconstruct_original(final: tuple, contributions: list) -> tuple:
     """Find the creation-time list consistent with the recorded events.
 
     Events only ever append, so the original is some prefix of the final
     list; the shortest prefix that replays to the final list wins
-    (attributing as much as possible to recorded events).  Raises
-    _Inconsistent when no prefix replays correctly.
+    (attributing as much as possible to recorded events).  Each split is
+    replayed against the positions in the final list, which holds no
+    duplicates: a value before the split end is a skipped duplicate, a
+    value at the split end extends it, and any other value diverges.
+    Raises _Inconsistent when no prefix replays correctly.
     """
-    final_list = list(final)
-    for split in range(len(final_list) + 1):
-        if _simulate(final_list[:split], contributions) == final_list:
-            return tuple(final_list[:split])
-
-    # No split works: locate the first event whose contribution diverges,
-    # using the split that survives the longest.
-    best_seq = contributions[0][0] if contributions else 0
-    best_ok = -1
-    for split in range(len(final_list) + 1):
-        state = final_list[:split]
-        ok = 0
-        fail_seq = None
-        for seq, value in contributions:
-            if value not in state:
-                state.append(value)
-            if state != final_list[: len(state)]:
-                fail_seq = seq
+    position = {value: at for at, value in enumerate(final)}
+    for split in range(len(final) + 1):
+        end = split
+        for _, value in contributions:
+            at = position.get(value)
+            if at == end:
+                end += 1
+            elif at is None or at > end:
                 break
-            ok += 1
-        if fail_seq is None:
-            fail_seq = contributions[-1][0] if contributions else 0
-        if ok > best_ok:
-            best_ok, best_seq = ok, fail_seq
-    raise _Inconsistent(best_seq, "derived values do not match recorded events")
+        else:
+            if end == len(final):
+                return final[:split]
+    # No split replays, so some value is missing from the list (else the
+    # whole list would replay).  Every split diverges at the first missing
+    # value or sooner, the whole-list split exactly there: that is the
+    # event where the longest-surviving replay breaks.
+    seq = next(seq for seq, value in contributions if value not in position)
+    raise _Inconsistent(seq, "derived values do not match recorded events")
 
 
 def _original_fields(record: UmsRecord) -> dict[str, tuple]:
     """Original value of every derived list, or raise _Inconsistent."""
+    events: dict[str, list] = {kind: [] for kind in DERIVED_FIELDS}
+    for event in record.history:
+        if event.kind in events:
+            events[event.kind].append(event)
     out: dict[str, tuple] = {}
     for kind, field in DERIVED_FIELDS.items():
         contributions = []
-        for event in record.history:
-            if event.kind != kind:
-                continue
+        for event in events[kind]:
             try:
                 payload = _normalize_payload(kind, event.payload)
             except MalformedPayload as exc:
@@ -216,40 +206,38 @@ def _original_fields(record: UmsRecord) -> dict[str, tuple]:
     return out
 
 
+def _replay(record: UmsRecord) -> dict[str, tuple]:
+    """Check the digest chain of a non-empty history, then replay it;
+    the original derived lists, or raise _Inconsistent at the first break."""
+    history = record.history
+    genesis = history[0]
+    if genesis.kind != "create":
+        raise _Inconsistent(0, "first event is not create")
+    if genesis.payload != "":
+        raise _Inconsistent(0, "create event carries a payload")
+    if genesis.prev != GENESIS_PREV:
+        raise _Inconsistent(0, "genesis prev is not all zeros")
+    if record.date is not None and genesis.timestamp != record.date:
+        raise _Inconsistent(0, "create timestamp differs from record date")
+
+    for i in range(1, len(history)):
+        if history[i].kind == "create":
+            raise _Inconsistent(history[i].seq, "create after genesis")
+        expected = event_digest(history[i - 1])
+        if history[i].prev != expected:
+            raise _Inconsistent(
+                history[i].seq, f"prev digest mismatch (expected {expected})"
+            )
+    return _original_fields(record)
+
+
 def verify_history(record: UmsRecord) -> VerifyResult:
     """Recompute the digest chain and replay consistency; report first break."""
     history = record.history
     if not history:
         return VerifyResult(ok=True, chain_length=0)
-
-    genesis = history[0]
-    if genesis.kind != "create":
-        return VerifyResult(False, len(history), 0, "first event is not create")
-    if genesis.payload != "":
-        return VerifyResult(False, len(history), 0, "create event carries a payload")
-    if genesis.prev != GENESIS_PREV:
-        return VerifyResult(False, len(history), 0, "genesis prev is not all zeros")
-    if record.date is not None and genesis.timestamp != record.date:
-        return VerifyResult(
-            False, len(history), 0, "create timestamp differs from record date"
-        )
-
-    for i in range(1, len(history)):
-        if history[i].kind == "create":
-            return VerifyResult(
-                False, len(history), history[i].seq, "create after genesis"
-            )
-        expected = event_digest(history[i - 1])
-        if history[i].prev != expected:
-            return VerifyResult(
-                False,
-                len(history),
-                history[i].seq,
-                f"prev digest mismatch (expected {expected})",
-            )
-
     try:
-        _original_fields(record)
+        _replay(record)
     except _Inconsistent as exc:
         return VerifyResult(False, len(history), exc.seq, exc.detail)
     return VerifyResult(ok=True, chain_length=len(history))
@@ -257,10 +245,10 @@ def verify_history(record: UmsRecord) -> VerifyResult:
 
 def original_view(record: UmsRecord) -> UmsRecord:
     """The record as of its create event, with derived appends removed."""
-    result = verify_history(record)
-    if not result.ok:
-        raise BrokenChain(result.broken_at or 0, result.detail)
     if not record.history:
         return record
-    originals = _original_fields(record)
+    try:
+        originals = _replay(record)
+    except _Inconsistent as exc:
+        raise BrokenChain(exc.seq, exc.detail) from None
     return replace(record, history=record.history[:1], **originals)

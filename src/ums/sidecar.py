@@ -9,8 +9,8 @@ Serialization is canonical: the same record always produces the same
 bytes, and ``parse_record(canonical_serialize(r)) == r``.
 
 The parser checks grammar: lines, key order, escapes, field counts and
-the lexical tokens (lowercase format tags and language codes, canonical
-dates).  Values that make up a history event are checked by
+the lexical tokens (lowercase format tags, registered language codes,
+canonical dates).  Values that make up a history event are checked by
 :class:`ProvenanceEvent` alone; the parser reports its complaint as a
 :class:`SidecarSyntaxError` naming the line.
 """
@@ -27,6 +27,7 @@ from .errors import (
     UnknownKey,
 )
 from .escaping import decode_fields, escape, join_fields, split_fields, unescape
+from .languages import is_language_code
 from .model import (
     ACCESS_PUBLIC,
     DOC_TYPES,
@@ -62,7 +63,6 @@ _KEY_ORDER = (
 )
 _KEY_POS = {key: pos for pos, key in enumerate(_KEY_ORDER)}
 _SINGLETON_KEYS = frozenset({"name", "date", "type", "summary", "access"})
-_LANGUAGE_TOKEN_RE = re.compile(r"[a-z]{2,3}")
 _SEQ_RE = re.compile(r"0|[1-9]\d*", re.ASCII)
 
 
@@ -200,7 +200,7 @@ def parse_record_with_warnings(
         if not FORMAT_RE.fullmatch(value):
             raise SidecarSyntaxError(line_no, f"bad format tag: {value!r}")
     for value, line_no in values["language"]:
-        if not _LANGUAGE_TOKEN_RE.fullmatch(value):
+        if not is_language_code(value):
             raise SidecarSyntaxError(line_no, f"bad language code: {value!r}")
 
     date = None

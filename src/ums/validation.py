@@ -31,7 +31,9 @@ class ValidationReport:
         return not self.violations
 
 
-def _creator_known(metabase: Metabase, creator: str) -> bool:
+def creator_known(metabase: Metabase, creator: str) -> bool:
+    """True when *creator* resolves exactly in the author or organization
+    catalog."""
     for catalog_name in (AUTHORS, ORGANIZATIONS):
         catalog = metabase.get(catalog_name)
         if catalog is not None and resolve(catalog, creator).kind == "exact":
@@ -75,7 +77,7 @@ def validate_record(
                     Violation("MissingRecommendedField", f"record has no {field}")
                 )
         for creator in record.creators:
-            if not _creator_known(metabase, creator):
+            if not creator_known(metabase, creator):
                 violations.append(
                     Violation(
                         "CreatorNotInCatalog",

@@ -179,3 +179,53 @@ def resolve_reference(catalog, query: str):
         candidates.sort(key=lambda e: e.systematic_name.canonical)
         return ("candidates", None, tuple(candidates))
     return ("none", None, ())
+
+
+class InconsistentReference(Exception):
+    """Raised by :func:`reconstruct_original_reference` when no prefix
+    replays; carries the blamed event's seq and the detail text."""
+
+    def __init__(self, seq: int, detail: str):
+        super().__init__(detail)
+        self.seq = seq
+        self.detail = detail
+
+
+def _simulate(prefix: list, contributions: list) -> list:
+    out = list(prefix)
+    for _, value in contributions:
+        if value not in out:
+            out.append(value)
+    return out
+
+
+def reconstruct_original_reference(final: tuple, contributions: list) -> tuple:
+    """Try every prefix of the final list as the original, replaying all
+    contributions with list scans; the shortest that replays wins.  When
+    none does, replay each prefix again step by step and blame the first
+    diverging event of the prefix that survives the longest."""
+    final_list = list(final)
+    for split in range(len(final_list) + 1):
+        if _simulate(final_list[:split], contributions) == final_list:
+            return tuple(final_list[:split])
+
+    # No split works: locate the first event whose contribution diverges,
+    # using the split that survives the longest.
+    best_seq = contributions[0][0] if contributions else 0
+    best_ok = -1
+    for split in range(len(final_list) + 1):
+        state = final_list[:split]
+        ok = 0
+        fail_seq = None
+        for seq, value in contributions:
+            if value not in state:
+                state.append(value)
+            if state != final_list[: len(state)]:
+                fail_seq = seq
+                break
+            ok += 1
+        if fail_seq is None:
+            fail_seq = contributions[-1][0] if contributions else 0
+        if ok > best_ok:
+            best_ok, best_seq = ok, fail_seq
+    raise InconsistentReference(best_seq, "derived values do not match recorded events")

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import recgen
-from ums.association import CRITERIA, build_index, group_by, jaccard, related
+from ums.association import CRITERIA, build_index, group_by, related
 from ums.errors import UnknownRecord
 from ums.model import UmsRecord
 
@@ -172,7 +172,3 @@ class TestIndex:
         index = build_index(records)
         names = {tag: [r.name for r in rs] for tag, rs in index.tag_index.items()}
         assert names == {"x": ["b", "a"], "y": ["b"]}
-
-
-def test_jaccard_of_two_empty_sets_is_zero():
-    assert jaccard(frozenset(), frozenset()) == 0.0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from ums.errors import DuplicateEntry, SidecarSyntaxError, UnknownSystem
+from ums.errors import DuplicateEntry, SidecarSyntaxError
 from ums.metabase import (
     AUTHORS,
     Catalog,
@@ -208,10 +208,6 @@ class TestMetabase:
         for token in ("DOI", "ISBN", "PMID", "URN", "PURL", "ISNI", "OCLC"):
             assert metabase.is_registered_system(token)
         assert not metabase.is_registered_system("FOO")
-
-    def test_check_identifier_unknown_system(self):
-        with pytest.raises(UnknownSystem):
-            empty_metabase().check_identifier("FOO", "1")
 
     def test_load_metabase_directory(self, tmp_path):
         (tmp_path / "authors.catalog").write_bytes(CATALOG_FILE)

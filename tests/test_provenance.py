@@ -6,10 +6,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 import recgen
+from ums import provenance
 from ums.errors import BrokenChain, MalformedPayload
 from ums.model import GENESIS_PREV, IdentifierBinding, ProvenanceEvent, UmsRecord
 from ums.provenance import (
+    _Inconsistent,
+    _reconstruct_original,
     apply_event,
     event_digest,
     original_view,
@@ -209,6 +213,74 @@ class TestOriginalView:
         )
         with pytest.raises(BrokenChain):
             original_view(tampered)
+
+    def test_replays_the_history_once(self, monkeypatch):
+        calls = []
+        replay = provenance._original_fields
+
+        def counted(record):
+            calls.append(record)
+            return replay(record)
+
+        monkeypatch.setattr(provenance, "_original_fields", counted)
+        record = apply_event(octology(), "rename", "AAA", "2012-01-01T00:00:00Z")
+        original_view(record)
+        assert len(calls) == 1
+
+
+def test_edited_synonym_line_blames_the_rename_it_breaks():
+    record = octology()
+    for day, name in enumerate(("AAA", "BBB", "CCC", "DDD"), start=1):
+        record = apply_event(record, "rename", name, f"2012-01-0{day}T00:00:00Z")
+    data = canonical_serialize(record)
+    tampered = parse_record(data.replace(b"synonym: CCC\n", b"synonym: XXX\n", 1))
+    result = verify_history(tampered)
+    assert not result.ok
+    assert (result.broken_at, result.detail) == (
+        3,
+        "derived values do not match recorded events",
+    )
+    with pytest.raises(BrokenChain) as excinfo:
+        original_view(tampered)
+    assert excinfo.value.seq == 3
+
+
+_REPLAY_VALUES = ("a", "b", "c", "d", "e", "f")
+
+
+@st.composite
+def replay_cases(draw):
+    """A duplicate-free final list and seq-sorted contributions: either
+    random values, some absent from the list, or the tail of the list in
+    order with repeats of its values mixed in."""
+    final = tuple(draw(st.lists(st.sampled_from(_REPLAY_VALUES), unique=True)))
+    if final and draw(st.booleans()):
+        values = []
+        for value in final[draw(st.integers(0, len(final))) :]:
+            values += draw(st.lists(st.sampled_from(final), max_size=2))
+            values.append(value)
+    else:
+        values = draw(st.lists(st.sampled_from(_REPLAY_VALUES + ("x", "y")), max_size=8))
+    seqs = draw(
+        st.lists(
+            st.integers(1, 99), unique=True, min_size=len(values), max_size=len(values)
+        )
+    )
+    return final, list(zip(sorted(seqs), values))
+
+
+@settings(max_examples=500, deadline=None)
+@given(replay_cases())
+def test_reconstruct_original_matches_reference(case):
+    final, contributions = case
+    try:
+        expected = oracles.reconstruct_original_reference(final, contributions)
+    except oracles.InconsistentReference as exc:
+        with pytest.raises(_Inconsistent) as excinfo:
+            _reconstruct_original(final, contributions)
+        assert (excinfo.value.seq, excinfo.value.detail) == (exc.seq, exc.detail)
+    else:
+        assert _reconstruct_original(final, contributions) == expected
 
 
 @settings(max_examples=50, deadline=None)

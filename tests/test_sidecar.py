@@ -173,6 +173,7 @@ GOOD_LINES = [
         (3, "format: PDF"),
         (3, "format: pdf!"),
         (5, "language: EN"),
+        (5, "language: zz"),
         (4, "date: 2011-02-29"),
         (4, "date: 2011-03-01T16:35:22"),
         (6, "history: 0|2011-02-29|create||0000000000000000"),
