@@ -7,28 +7,19 @@ error.  Output is byte-deterministic for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
-import json
 import os
+import stat
 import sys
 import tempfile
 from datetime import datetime, timezone
 from typing import Optional
 
+# Only what every command may need is imported here; the extractors,
+# lint, the metabase and validation load inside the handlers that use
+# them, so a command pays start-up time only for the modules it runs.
 from .association import CRITERIA, build_index, group_by, related
 from .errors import UmsError
-from .extractors import (
-    CARRIER_HTML,
-    CARRIER_PDF,
-    CARRIER_SIDECAR,
-    DEFAULT_MAPPING,
-    extract_html_meta,
-    extract_pdf_info,
-    load_mapping,
-    map_raw_to_ums,
-)
-from .lint import at_least_warning, lint_raw, lint_record
-from .metabase import Metabase, empty_metabase, load_metabase
-from .model import EVENT_KINDS, is_complete
+from .model import CARRIER_HTML, CARRIER_PDF, CARRIER_SIDECAR, EVENT_KINDS, is_complete
 from .provenance import apply_event, verify_history
 from .sidecar import (
     LENIENT,
@@ -37,7 +28,6 @@ from .sidecar import (
     canonical_serialize,
     parse_record,
 )
-from .validation import validate_record
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -72,6 +62,8 @@ def _detect_carrier(path: str, data: bytes, flag: str) -> str:
 
 
 def _extract_raw(path: str, data: bytes, carrier: str):
+    from .extractors import extract_html_meta, extract_pdf_info
+
     if carrier == CARRIER_PDF:
         return extract_pdf_info(data)
     if carrier == CARRIER_HTML:
@@ -79,7 +71,9 @@ def _extract_raw(path: str, data: bytes, carrier: str):
     raise _Operational(f"extraction does not support carrier {carrier!r}")
 
 
-def _load_metabase(args) -> Optional[Metabase]:
+def _load_metabase(args):
+    from .metabase import load_metabase
+
     directory = args.metabase or os.environ.get("UMS_METABASE")
     if not directory:
         return None
@@ -89,6 +83,8 @@ def _load_metabase(args) -> Optional[Metabase]:
 
 
 def _mapping_table(args):
+    from .extractors import DEFAULT_MAPPING, load_mapping
+
     if args.mapping:
         return load_mapping(_read(args.mapping))
     return DEFAULT_MAPPING
@@ -96,9 +92,16 @@ def _mapping_table(args):
 
 def _write_atomic(path: str, data: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
+            # mkstemp creates 0600; a rewrite keeps the target's mode
+            if mode is not None:
+                os.fchmod(handle.fileno(), mode)
             handle.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -128,6 +131,8 @@ def _load_corpus(directory: str):
 
 
 def cmd_extract(args) -> int:
+    from .extractors import map_raw_to_ums
+
     data = _read(args.path)
     carrier = _detect_carrier(args.path, data, args.carrier)
     raw = _extract_raw(args.path, data, carrier)
@@ -146,6 +151,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_lint(args) -> int:
+    from .lint import at_least_warning, lint_raw, lint_record
+
     data = _read(args.path)
     carrier = _detect_carrier(args.path, data, args.carrier)
     if carrier == CARRIER_SIDECAR:
@@ -155,6 +162,8 @@ def cmd_lint(args) -> int:
         raw = _extract_raw(args.path, data, carrier)
         findings = lint_raw(raw)
     if args.json:
+        import json
+
         payload = [
             {
                 "code": f.code,
@@ -172,6 +181,9 @@ def cmd_lint(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .metabase import empty_metabase
+    from .validation import validate_record
+
     record = parse_record(_read(args.path), LENIENT)
     metabase = _load_metabase(args) or empty_metabase()
     mode = "strict" if args.strict else "lenient"

@@ -5,9 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-CARRIER_PDF = "pdf"
-CARRIER_HTML = "html"
-CARRIER_SIDECAR = "sidecar"
+from ..model import CARRIER_HTML, CARRIER_PDF, CARRIER_SIDECAR
 
 
 @dataclass(frozen=True)

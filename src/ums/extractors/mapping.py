@@ -125,9 +125,10 @@ def map_raw_to_ums(
     """Map raw pairs into a partial record; unmapped pairs come back.
 
     Pairs are processed in extraction order; the first rule matching a
-    pair's base key applies.  A pair whose target is already filled, or
-    whose value cannot be shaped for the target (a date in no accepted
-    form, say), goes to the unmapped list instead of being guessed at.
+    pair's base key applies.  A pair whose target is already filled, whose
+    value is empty, or whose value cannot be shaped for the target (a date
+    in no accepted form, say), goes to the unmapped list instead of being
+    guessed at.
     """
     rules = table.rules_for(raw.carrier)
     if not rules:
@@ -151,7 +152,7 @@ def map_raw_to_ums(
 
     for key, value in raw.pairs:
         rule = rule_for(base_key(key))
-        if rule is None:
+        if rule is None or value == "":
             unmapped.append((key, value))
             continue
         target = rule.target

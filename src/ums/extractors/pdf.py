@@ -51,11 +51,12 @@ class _ParseError(Exception):
 
 
 class _Cursor:
-    __slots__ = ("data", "pos")
+    __slots__ = ("data", "pos", "depth")
 
     def __init__(self, data: bytes, pos: int = 0):
         self.data = data
         self.pos = pos
+        self.depth = 0  # arrays and dictionaries open at pos
 
     def peek(self) -> int:
         if self.pos >= len(self.data):
@@ -176,28 +177,42 @@ def _parse_number_or_ref(cur: _Cursor) -> Union[int, float, _Ref]:
     return value
 
 
+#: deepest nesting of arrays and dictionaries accepted; deeper input is a
+#: parse error rather than a RecursionError
+_MAX_NESTING = 100
+
+
+def _open_container(cur: _Cursor, width: int) -> None:
+    cur.pos += width
+    cur.depth += 1
+    if cur.depth > _MAX_NESTING:
+        raise _ParseError(cur.pos, f"arrays or dictionaries nested over {_MAX_NESTING} deep")
+
+
 def _parse_value(cur: _Cursor):
     cur.skip_ws()
     b = cur.peek()
     if cur.at(b"<<"):
-        cur.pos += 2
+        _open_container(cur, 2)
         out: dict[str, object] = {}
         while True:
             cur.skip_ws()
             if cur.at(b">>"):
                 cur.pos += 2
+                cur.depth -= 1
                 return out
             if cur.peek() != 0x2F:
                 raise _ParseError(cur.pos, "expected /name key in dictionary")
             key = _parse_name(cur)
             out[str(key)] = _parse_value(cur)
     if b == 0x5B:  # '['
-        cur.pos += 1
+        _open_container(cur, 1)
         items = []
         while True:
             cur.skip_ws()
             if cur.peek() == 0x5D:
                 cur.pos += 1
+                cur.depth -= 1
                 return items
             items.append(_parse_value(cur))
     if b == 0x28:  # '('

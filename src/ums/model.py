@@ -20,6 +20,13 @@ from .escaping import escape, split_fields, unescape
 from .languages import is_language_code
 
 DOC_TYPES = ("text", "image", "photo", "video", "sound")
+
+#: carrier names; defined here so the CLI can name them without loading
+#: the extractors (``ums.extractors`` re-exports them)
+CARRIER_PDF = "pdf"
+CARRIER_HTML = "html"
+CARRIER_SIDECAR = "sidecar"
+
 NAME_KINDS = ("person", "organization", "document", "other")
 EVENT_KINDS = ("create", "rename", "reclassify", "relocate", "reformat", "translate")
 

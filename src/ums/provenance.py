@@ -9,7 +9,6 @@ so edits to recorded history surface on verification.
 from __future__ import annotations
 
 import hashlib
-import logging
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -26,8 +25,6 @@ from .model import (
     nfc,
 )
 from .sidecar import serialize_event
-
-log = logging.getLogger(__name__)
 
 #: event kind -> record list it appends to
 DERIVED_FIELDS = {
@@ -119,7 +116,9 @@ def apply_event(
     if history:
         last_dt = timestamps.as_datetime(history[-1].timestamp)
         if timestamps.as_datetime(timestamp) < last_dt:
-            log.warning(
+            import logging  # only this warning needs it; keeps start-up lean
+
+            logging.getLogger(__name__).warning(
                 "event timestamp %s precedes previous event %s; recorded anyway",
                 timestamp,
                 history[-1].timestamp,

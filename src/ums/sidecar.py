@@ -38,6 +38,7 @@ from .model import (
     ProvenanceEvent,
     Subject,
     UmsRecord,
+    nfc,
     require_complete,
 )
 from . import timestamps
@@ -243,23 +244,50 @@ def parse_record_with_warnings(
 
     history = [_parse_history_value(v, n) for v, n in values["history"]]
 
-    record = UmsRecord(
-        name=name,
-        synonyms=tuple(decode_simple("synonym")),
-        formats=tuple(v for v, _ in values["format"]),
-        date=date,
-        doc_type=doc_type,
-        summary=summary,
-        languages=tuple(v for v, _ in values["language"]),
-        locations=tuple(decode_simple("location")),
-        creators=tuple(decode_simple("creator")),
-        identifiers=tuple(identifiers),
-        access=access,
-        subjects=tuple(subjects),
-        tags=tuple(decode_simple("tag")),
-        history=tuple(history),
-    )
+    try:
+        record = UmsRecord(
+            name=name,
+            synonyms=tuple(decode_simple("synonym")),
+            formats=tuple(v for v, _ in values["format"]),
+            date=date,
+            doc_type=doc_type,
+            summary=summary,
+            languages=tuple(v for v, _ in values["language"]),
+            locations=tuple(decode_simple("location")),
+            creators=tuple(decode_simple("creator")),
+            identifiers=tuple(identifiers),
+            access=access,
+            subjects=tuple(subjects),
+            tags=tuple(decode_simple("tag")),
+            history=tuple(history),
+        )
+    except InvariantViolation as exc:
+        line_no = _record_error_line(values, identifiers, subjects, history)
+        if line_no is None:
+            raise
+        raise SidecarSyntaxError(line_no, str(exc)) from None
     return record, warnings
+
+
+def _record_error_line(values, identifiers, subjects, history):
+    """The line a record-wide check rejected: the first repeat within a
+    list key, or the first history line out of seq order.  Called only
+    after :class:`UmsRecord` raised, so valid input pays nothing."""
+    built = {"identifier": identifiers, "subject": subjects}
+    list_keys = [k for k in _KEY_ORDER if k not in _SINGLETON_KEYS and k != "history"]
+    for key in list_keys:
+        lines = values[key]
+        # every escape was checked while parsing, so unescape cannot fail
+        entries = built.get(key) or [nfc(unescape(v)) for v, _ in lines]
+        seen = set()
+        for entry, (_, line_no) in zip(entries, lines):
+            if entry in seen:
+                return line_no
+            seen.add(entry)
+    for seq, (event, (_, line_no)) in enumerate(zip(history, values["history"])):
+        if event.seq != seq or (seq == 0 and event.kind != "create"):
+            return line_no
+    return None
 
 
 def parse_record(data: bytes, mode: str = STRICT) -> UmsRecord:

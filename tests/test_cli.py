@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import stat
 import subprocess
 import sys
 
@@ -202,6 +203,16 @@ class TestAnnotate:
         assert view.locations == record.locations
         assert view.name == record.name
 
+    @pytest.mark.parametrize("mode", [0o644, 0o640], ids=oct)
+    def test_rewrite_keeps_the_file_mode(self, tmp_path, mode):
+        path = write_sidecar(tmp_path / "doc.ums", full_record())
+        path.chmod(mode)
+        argv = ["annotate", str(path), "--event", "rename", "--payload", "Octology",
+                "--timestamp", "2012-05-01T00:00:00Z"]
+        assert main(argv) == 0
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.ums"]
+
     def test_tampered_history_blocks_annotation(self, tmp_path, capsys):
         record = apply_event(full_record(), "rename", "AAA", "2012-01-01T00:00:00Z")
         path = tmp_path / "doc.ums"
@@ -267,40 +278,41 @@ class TestHistory:
         assert out[1].startswith("1\t2012-01-01T00:00:00Z\trename\tX")
 
 
-class TestGroupAndRelated:
-    def make_corpus(self, tmp_path):
-        corpus = tmp_path / "corpus"
-        corpus.mkdir()
-        write_sidecar(
-            corpus / "a.ums",
-            full_record("alpha", tags=("enzymes", "project:ums")),
-        )
-        write_sidecar(
-            corpus / "b.ums",
-            full_record("beta", formats=("html",), tags=("enzymes",)),
-        )
-        write_sidecar(corpus / "c.ums", full_record("gamma", tags=("history",)))
-        return corpus
+def make_corpus(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_sidecar(
+        corpus / "a.ums",
+        full_record("alpha", tags=("enzymes", "project:ums")),
+    )
+    write_sidecar(
+        corpus / "b.ums",
+        full_record("beta", formats=("html",), tags=("enzymes",)),
+    )
+    write_sidecar(corpus / "c.ums", full_record("gamma", tags=("history",)))
+    return corpus
 
+
+class TestGroupAndRelated:
     def test_group_by_format_prints_two_sections(self, tmp_path, capsys):
-        corpus = self.make_corpus(tmp_path)
+        corpus = make_corpus(tmp_path)
         assert main(["group", str(corpus), "--by", "format"]) == 0
         out = capsys.readouterr().out
         assert out == "== html\n  beta\n== pdf\n  alpha\n  gamma\n"
 
     def test_related_ranks_by_shared_tags(self, tmp_path, capsys):
-        corpus = self.make_corpus(tmp_path)
+        corpus = make_corpus(tmp_path)
         assert main(["related", str(corpus), "alpha"]) == 0
         out = capsys.readouterr().out
         assert out == "beta\t0.500000\n"
 
     def test_related_unknown_name_exits_2(self, tmp_path, capsys):
-        corpus = self.make_corpus(tmp_path)
+        corpus = make_corpus(tmp_path)
         assert main(["related", str(corpus), "nobody"]) == 2
 
     @pytest.mark.parametrize("command", [["group", "--by", "theme"], ["related", "alpha"]])
     def test_broken_sidecar_is_named_with_its_line(self, tmp_path, capsys, command):
-        corpus = self.make_corpus(tmp_path)
+        corpus = make_corpus(tmp_path)
         broken = corpus / "b.ums"
         lines = broken.read_bytes().split(b"\n")
         lines[2] = b"format: PDF"
@@ -309,6 +321,50 @@ class TestGroupAndRelated:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"ums: {broken}: line 3: ")
+
+
+#: subcommand -> (argv, exit code, a piece of stdout); run in a fresh
+#: interpreter, each loads the modules its handler imports on its own
+FRESH_RUNS = {
+    "extract": (["extract", "{pdf}"], 0, "name: octology\n"),
+    "lint": (["lint", "{pdf}"], 1, "FORMAT_REDUNDANCY\twarning"),
+    "lint --json": (["lint", "{pdf}", "--json"], 1, '"code": "FORMAT_REDUNDANCY"'),
+    "validate": (
+        ["--metabase", "{metabase}", "--strict", "validate", "{sidecar}"],
+        1,
+        "CreatorNotInCatalog",
+    ),
+    "annotate": (
+        ["annotate", "{sidecar}", "--event", "relocate", "--payload", "http://mirror.example/o.pdf",
+         "--timestamp", "2012-05-01T00:00:00Z"],
+        0,
+        "relocate recorded as event 2\n",
+    ),
+    "history --verify": (["history", "{sidecar}", "--verify"], 0, "ok 2\n"),
+    "group": (["group", "{corpus}", "--by", "format"], 0, "== html\n  beta\n== pdf\n  alpha\n  gamma\n"),
+    "related": (["related", "{corpus}", "alpha"], 0, "beta\t0.500000\n"),
+}
+
+
+@pytest.mark.parametrize("command", list(FRESH_RUNS))
+def test_each_subcommand_runs_in_a_fresh_interpreter(tmp_path, octology_path, command):
+    argv, code, out = FRESH_RUNS[command]
+    metabase = tmp_path / "metabase"
+    metabase.mkdir()
+    record = apply_event(full_record(), "rename", "Octology", "2012-01-01T00:00:00Z")
+    paths = dict(
+        pdf=octology_path,
+        metabase=metabase,
+        sidecar=write_sidecar(tmp_path / "doc.ums", record),
+        corpus=make_corpus(tmp_path),
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "ums.cli", *(arg.format(**paths) for arg in argv)],
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stderr) == (code, "")
+    assert out in result.stdout
 
 
 def test_module_entry_point_runs():

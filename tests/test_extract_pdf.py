@@ -113,6 +113,17 @@ class TestRejections:
         with pytest.raises(NotSupported):
             extract_pdf_info(fixtures.encrypted_pdf())
 
+    def test_deep_nesting_is_an_extraction_error(self):
+        deep = b"[" * 5000 + b"]" * 5000
+        objects = [
+            b"<< /Type /Catalog /Pages 2 0 R >>",
+            b"<< /Type /Pages /Kids [] /Count 0 >>",
+            b"<< /Title (x) /Keywords " + deep + b" >>",
+        ]
+        raw = extract_pdf_info(fixtures._pdf(objects, root=1, info=3))
+        assert any("nested" in error for error in raw.errors)
+        assert pairs_dict(raw)["PageCount"] == "0"
+
     def test_broken_xref_is_best_effort(self):
         data = fixtures.minimal_pdf().replace(b"startxref", b"startxrEf")
         raw = extract_pdf_info(data)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import fixtures
 from ums.errors import MappingError, RuleConflict
 from ums.extractors import (
     DEFAULT_MAPPING,
@@ -66,6 +67,19 @@ def test_empty_raw_maps_to_empty_partial_record():
     assert record.name == ""
     assert record.formats == ()
     assert record.date is None
+
+
+def test_empty_carrier_value_is_unmapped_not_fatal():
+    info = b"<< /Title (octology) /Author () /CreationDate (D:20110301163522Z) >>"
+    pdf = fixtures._pdf(
+        [b"<< /Type /Catalog /Pages 2 0 R >>", b"<< /Type /Pages /Kids [] /Count 0 >>", info],
+        root=1,
+        info=3,
+    )
+    record, unmapped = map_raw_to_ums(extract_pdf_info(pdf))
+    assert ("Author", "") in unmapped
+    assert record.creators == ()
+    assert record.name == "octology"
 
 
 def test_undecodable_date_passes_through_unmapped():

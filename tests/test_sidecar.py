@@ -183,11 +183,16 @@ GOOD_LINES = [
         (6, "history: 0|2011-03-01|create||00000000000000000"),
         (6, "history: 0|2011-03-01|create|\\|0000000000000000"),
         (6, "history: 00|2011-03-01|create||0000000000000000"),
+        (6, "history: 0|2011-03-01|rename|y|0000000000000000"),
+        # a bad line may bring the good lines it repeats or follows; it
+        # replaces the good line as many lines up as it has line feeds
+        (7, "tag: x\ntag: x"),
+        (7, "history: 0|2011-03-01|create||0000000000000000\nhistory: 2|2011-03-01|rename|y|0000000000000000"),
     ],
 )
 def test_bad_value_names_its_line(line_no, bad_line):
     lines = list(GOOD_LINES)
-    lines[line_no - 1] = bad_line
+    lines[line_no - 1 - bad_line.count("\n")] = bad_line
     with pytest.raises(SidecarSyntaxError) as excinfo:
         parse_record(("\n".join(lines) + "\n").encode())
     assert excinfo.value.line == line_no
