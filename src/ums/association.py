@@ -12,7 +12,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import UnknownRecord
-from .model import UmsRecord, nfc
+from .model import UmsRecord
 
 CRITERIA = ("alphabet", "date", "theme", "project", "format", "location")
 
@@ -27,7 +27,7 @@ UNKNOWN = "~unknown"
 
 def _group_key(record: UmsRecord, criterion: str) -> str:
     if criterion == "alphabet":
-        return nfc(record.name)[:1] if record.name else UNKNOWN
+        return record.name[:1] if record.name else UNKNOWN
     if criterion == "date":
         return record.date[:4] if record.date else UNDATED
     if criterion == "theme":

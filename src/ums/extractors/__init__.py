@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..model import CARRIER_HTML, CARRIER_PDF, CARRIER_SIDECAR
 
@@ -21,14 +20,6 @@ class RawMetadata:
     pairs: tuple[tuple[str, str], ...]
     byte_size: int
     errors: tuple[str, ...] = ()
-
-    def first(self, key: str) -> Optional[str]:
-        """First value whose base key equals *key*, case-insensitively."""
-        wanted = key.lower()
-        for k, v in self.pairs:
-            if base_key(k).lower() == wanted:
-                return v
-        return None
 
 
 def base_key(key: str) -> str:

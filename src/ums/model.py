@@ -12,10 +12,10 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from . import timestamps
-from .errors import InvariantViolation, MissingComponent
+from .errors import InvalidTimestamp, InvariantViolation, MissingComponent
 from .escaping import escape, split_fields, unescape
 from .languages import is_language_code
 
@@ -36,8 +36,8 @@ ACCESS_PUBLIC, ACCESS_INTERNAL, ACCESS_RESTRICTED, ACCESS_SECRET = range(4)
 STRICT = "strict"
 LENIENT = "lenient"
 
-#: a format tag (whole-string match); the sidecar parser, provenance and
-#: mapping all check tags with this one pattern
+#: a format tag (whole-string match); records check tags with
+#: :func:`format_tag`, mapping with this pattern directly
 FORMAT_RE = re.compile(r"[a-z0-9]+")
 _SYSTEM_RE = re.compile(r"[A-Z0-9]+")
 _PREV_RE = re.compile(r"[0-9a-f]{16}")
@@ -54,21 +54,54 @@ def nfc(value: str) -> str:
     return unicodedata.normalize("NFC", value)
 
 
-def _nfc_tuple(values: Iterable[str], what: str) -> tuple[str, ...]:
-    out = []
-    for v in values:
-        if not isinstance(v, str) or v == "":
-            raise InvariantViolation(f"empty or non-text {what} entry")
-        out.append(nfc(v))
+def _rejected(message: str, field: str, index: int = 0) -> InvariantViolation:
+    """A record check's rejection, naming the field and the entry's index."""
+    exc = InvariantViolation(message)
+    exc.field, exc.index = field, index
+    return exc
+
+
+def _entries(
+    values: Iterable[str], what: str, field: Optional[str] = None, rule=nfc
+) -> tuple[str, ...]:
+    """Each entry through *rule*; a rejection names *field* and the index
+    of the entry it rejects."""
+    out: list[str] = []
+    try:
+        for v in values:
+            if not isinstance(v, str) or v == "":
+                raise InvariantViolation(f"empty or non-text {what} entry")
+            out.append(rule(v))
+    except InvariantViolation as exc:
+        exc.field, exc.index = field, len(out)
+        raise
     return tuple(out)
 
 
-def _reject_duplicates(values: Iterable, what: str) -> None:
+def _reject_duplicates(values: Sequence, what: str, field: str) -> None:
+    if len(set(values)) == len(values):
+        return
     seen = set()
-    for v in values:
+    for index, v in enumerate(values):
         if v in seen:
-            raise InvariantViolation(f"duplicate {what}: {v!r}")
+            raise _rejected(f"duplicate {what}: {v!r}", field, index)
         seen.add(v)
+
+
+def format_tag(value: str) -> str:
+    """A format tag as records store it (NFC, lowercase), or raise."""
+    tag = nfc(value).lower()
+    if not FORMAT_RE.fullmatch(tag):
+        raise InvariantViolation(f"bad format tag: {tag!r}")
+    return tag
+
+
+def language_code(value: str) -> str:
+    """A language code as records store it (NFC, lowercase), or raise."""
+    code = nfc(value).lower()
+    if not is_language_code(code):
+        raise InvariantViolation(f"not a natural-language code: {code!r}")
+    return code
 
 
 @dataclass(frozen=True)
@@ -139,7 +172,7 @@ class SystematicName:
     def __post_init__(self):
         if self.kind not in NAME_KINDS:
             raise InvariantViolation(f"unknown name kind: {self.kind!r}")
-        who = _nfc_tuple(self.who, "name component")
+        who = _entries(self.who, "name component")
         if not who:
             raise MissingComponent("a systematic name needs a who-part")
         object.__setattr__(self, "who", who)
@@ -264,58 +297,53 @@ class UmsRecord:
     history: tuple[ProvenanceEvent, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "name", nfc(self.name))
-        object.__setattr__(self, "synonyms", _nfc_tuple(self.synonyms, "synonym"))
-
-        formats = tuple(f.lower() for f in _nfc_tuple(self.formats, "format"))
-        for f in formats:
-            if not FORMAT_RE.fullmatch(f):
-                raise InvariantViolation(f"bad format tag: {f!r}")
-        object.__setattr__(self, "formats", formats)
-
+        """Normalize and check every value; a rejection names the record
+        field and the index of the entry it rejects."""
+        set_ = object.__setattr__
+        set_(self, "name", nfc(self.name))
+        set_(self, "synonyms", _entries(self.synonyms, "synonym", "synonyms"))
+        set_(self, "formats", _entries(self.formats, "format", "formats", format_tag))
         if self.date is not None:
-            timestamps.ensure_canonical(self.date)
+            try:
+                timestamps.ensure_canonical(self.date)
+            except InvalidTimestamp as exc:
+                exc.field = "date"
+                raise
         if self.doc_type is not None and self.doc_type not in DOC_TYPES:
-            raise InvariantViolation(f"unknown document type: {self.doc_type!r}")
+            raise _rejected(f"unknown document type: {self.doc_type!r}", "doc_type")
         if self.summary is not None:
             if self.summary == "":
-                raise InvariantViolation("empty summary")
-            object.__setattr__(self, "summary", nfc(self.summary))
-
-        languages = tuple(c.lower() for c in _nfc_tuple(self.languages, "language"))
-        for code in languages:
-            if not is_language_code(code):
-                raise InvariantViolation(f"not a natural-language code: {code!r}")
-        object.__setattr__(self, "languages", languages)
-
-        object.__setattr__(self, "locations", _nfc_tuple(self.locations, "location"))
-        object.__setattr__(self, "creators", _nfc_tuple(self.creators, "creator"))
-        object.__setattr__(self, "identifiers", tuple(self.identifiers))
-        object.__setattr__(self, "subjects", tuple(self.subjects))
-        object.__setattr__(self, "tags", _nfc_tuple(self.tags, "tag"))
-        object.__setattr__(self, "history", tuple(self.history))
+                raise _rejected("empty summary", "summary")
+            set_(self, "summary", nfc(self.summary))
+        languages = _entries(self.languages, "language", "languages", language_code)
+        set_(self, "languages", languages)
+        set_(self, "locations", _entries(self.locations, "location", "locations"))
+        set_(self, "creators", _entries(self.creators, "creator", "creators"))
+        set_(self, "identifiers", tuple(self.identifiers))
+        set_(self, "subjects", tuple(self.subjects))
+        set_(self, "tags", _entries(self.tags, "tag", "tags"))
+        set_(self, "history", tuple(self.history))
 
         if not isinstance(self.access, int) or not 0 <= self.access <= 3:
-            raise InvariantViolation(f"access level out of range: {self.access!r}")
+            raise _rejected(f"access level out of range: {self.access!r}", "access")
 
-        _reject_duplicates(self.synonyms, "synonym")
-        _reject_duplicates(self.formats, "format")
-        _reject_duplicates(self.languages, "language")
-        _reject_duplicates(self.locations, "location")
-        _reject_duplicates(self.creators, "creator")
-        _reject_duplicates(
-            ((b.system, b.id) for b in self.identifiers), "identifier"
-        )
-        _reject_duplicates(((s.text, s.source) for s in self.subjects), "subject")
-        _reject_duplicates(self.tags, "tag")
+        _reject_duplicates(self.synonyms, "synonym", "synonyms")
+        _reject_duplicates(self.formats, "format", "formats")
+        _reject_duplicates(self.languages, "language", "languages")
+        _reject_duplicates(self.locations, "location", "locations")
+        _reject_duplicates(self.creators, "creator", "creators")
+        bindings = [(b.system, b.id) for b in self.identifiers]
+        _reject_duplicates(bindings, "identifier", "identifiers")
+        subjects = [(s.text, s.source) for s in self.subjects]
+        _reject_duplicates(subjects, "subject", "subjects")
+        _reject_duplicates(self.tags, "tag", "tags")
 
         for i, event in enumerate(self.history):
             if event.seq != i:
-                raise InvariantViolation(
-                    f"history seq must run 0,1,2,...; got {event.seq} at index {i}"
-                )
+                message = f"history seq must run 0,1,2,...; got {event.seq} at index {i}"
+                raise _rejected(message, "history", i)
         if self.history and self.history[0].kind != "create":
-            raise InvariantViolation("history must start with a create event")
+            raise _rejected("history must start with a create event", "history")
 
 
 def is_complete(record: UmsRecord) -> bool:

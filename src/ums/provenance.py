@@ -14,14 +14,14 @@ from typing import Optional
 
 from . import timestamps
 from .errors import BrokenChain, InvariantViolation, MalformedPayload
-from .languages import is_language_code
 from .model import (
     EVENT_KINDS,
-    FORMAT_RE,
     GENESIS_PREV,
     IdentifierBinding,
     ProvenanceEvent,
     UmsRecord,
+    format_tag,
+    language_code,
     nfc,
 )
 from .sidecar import serialize_event
@@ -53,25 +53,19 @@ def _normalize_payload(kind: str, payload: str) -> str:
         raise MalformedPayload(f"{kind} needs a payload")
     if kind in ("rename", "relocate"):
         return payload
-    if kind == "reformat":
-        payload = payload.lower()
-        if not FORMAT_RE.fullmatch(payload):
-            raise MalformedPayload(f"bad format tag: {payload!r}")
-        return payload
-    if kind == "translate":
-        payload = payload.lower()
-        if not is_language_code(payload):
-            raise MalformedPayload(f"not a natural-language code: {payload!r}")
-        return payload
-    if kind == "reclassify":
-        system, sep, ident = payload.partition("|")
-        if not sep or not system or not ident:
-            raise MalformedPayload("reclassify payload must be SYSTEM|id")
-        try:
+    try:  # the record's own rules for the value each kind appends
+        if kind == "reformat":
+            return format_tag(payload)
+        if kind == "translate":
+            return language_code(payload)
+        if kind == "reclassify":
+            system, sep, ident = payload.partition("|")
+            if not sep or not system or not ident:
+                raise MalformedPayload("reclassify payload must be SYSTEM|id")
             binding = IdentifierBinding(system=system, id=ident)
-        except InvariantViolation as exc:
-            raise MalformedPayload(str(exc)) from None
-        return f"{binding.system}|{binding.id}"
+            return f"{binding.system}|{binding.id}"
+    except InvariantViolation as exc:
+        raise MalformedPayload(str(exc)) from None
     raise MalformedPayload(f"unknown event kind: {kind!r}")
 
 
@@ -160,48 +154,56 @@ def _reconstruct_original(final: tuple, contributions: list) -> tuple:
 
     Events only ever append, so the original is some prefix of the final
     list; the shortest prefix that replays to the final list wins
-    (attributing as much as possible to recorded events).  Each split is
-    replayed against the positions in the final list, which holds no
-    duplicates: a value before the split end is a skipped duplicate, a
-    value at the split end extends it, and any other value diverges.
-    Raises _Inconsistent when no prefix replays correctly.
+    (attributing as much as possible to recorded events).  A recorded
+    value missing from the final list raises _Inconsistent at its seq.
+    Otherwise each split is replayed against the positions in the final
+    list, which holds no duplicates: a value before the split end is a
+    skipped duplicate, a value at the split end extends it, and any
+    other value diverges.  The whole list always replays.
     """
     position = {value: at for at, value in enumerate(final)}
-    for split in range(len(final) + 1):
+    for seq, value in contributions:
+        if value not in position:
+            raise _Inconsistent(seq, "derived values do not match recorded events")
+    for split in range(len(final)):
         end = split
         for _, value in contributions:
-            at = position.get(value)
+            at = position[value]
             if at == end:
                 end += 1
-            elif at is None or at > end:
+            elif at > end:
                 break
         else:
             if end == len(final):
                 return final[:split]
-    # No split replays, so some value is missing from the list (else the
-    # whole list would replay).  Every split diverges at the first missing
-    # value or sooner, the whole-list split exactly there: that is the
-    # event where the longest-surviving replay breaks.
-    seq = next(seq for seq, value in contributions if value not in position)
-    raise _Inconsistent(seq, "derived values do not match recorded events")
+    return final
 
 
 def _original_fields(record: UmsRecord) -> dict[str, tuple]:
-    """Original value of every derived list, or raise _Inconsistent."""
+    """Original value of every derived list, or raise _Inconsistent at the
+    lowest seq that breaks any of them."""
     events: dict[str, list] = {kind: [] for kind in DERIVED_FIELDS}
     for event in record.history:
         if event.kind in events:
             events[event.kind].append(event)
     out: dict[str, tuple] = {}
+    broken: list[_Inconsistent] = []
     for kind, field in DERIVED_FIELDS.items():
-        contributions = []
-        for event in events[kind]:
-            try:
-                payload = _normalize_payload(kind, event.payload)
-            except MalformedPayload as exc:
-                raise _Inconsistent(event.seq, str(exc)) from None
-            contributions.append((event.seq, _derived_value(kind, payload)))
-        out[field] = _reconstruct_original(getattr(record, field), contributions)
+        final, contributions = getattr(record, field), []
+        try:
+            for event in events[kind]:
+                try:
+                    payload = _normalize_payload(kind, event.payload)
+                except MalformedPayload as exc:
+                    # an earlier value missing from the list breaks first
+                    _reconstruct_original(final, contributions)
+                    raise _Inconsistent(event.seq, str(exc)) from None
+                contributions.append((event.seq, _derived_value(kind, payload)))
+            out[field] = _reconstruct_original(final, contributions)
+        except _Inconsistent as exc:
+            broken.append(exc)
+    if broken:
+        raise min(broken, key=lambda exc: exc.seq)
     return out
 
 

@@ -8,16 +8,23 @@ creator*, identifier*, access?, subject*, tag*, history*.
 Serialization is canonical: the same record always produces the same
 bytes, and ``parse_record(canonical_serialize(r)) == r``.
 
-The parser checks grammar: lines, key order, escapes, field counts and
-the lexical tokens (lowercase format tags, registered language codes,
-canonical dates).  Values that make up a history event are checked by
-:class:`ProvenanceEvent` alone; the parser reports its complaint as a
-:class:`SidecarSyntaxError` naming the line.
+The parser checks grammar: lines, key order, once-only keys, escapes,
+field counts and the digits of access levels and history seqs.  The
+model checks values: :class:`UmsRecord` and :class:`ProvenanceEvent`
+hold the only format, language, date, type, duplicate and history-order
+rules, and each rejection names its field and entry, which the parser
+turns into a :class:`SidecarSyntaxError` naming the line.  Strict
+parsing also rejects a value the model had to normalize (non-NFC text,
+an uppercase format or language, a lowercase identifier system), so
+every strict-valid sidecar re-serializes to its own bytes; lenient
+parsing keeps such a value and warns.
 """
 
 from __future__ import annotations
 
 import re
+import unicodedata
+from dataclasses import fields
 
 from .errors import (
     DuplicateSingletonKey,
@@ -27,86 +34,66 @@ from .errors import (
     UnknownKey,
 )
 from .escaping import decode_fields, escape, join_fields, split_fields, unescape
-from .languages import is_language_code
 from .model import (
     ACCESS_PUBLIC,
-    DOC_TYPES,
-    FORMAT_RE,
     LENIENT,
     STRICT,
     IdentifierBinding,
     ProvenanceEvent,
     Subject,
     UmsRecord,
-    nfc,
     require_complete,
 )
-from . import timestamps
 
 SIDECAR_EXTENSION = ".ums"
-
-#: sidecar keys in their only admissible order
-_KEY_ORDER = (
-    "name",
-    "synonym",
-    "format",
-    "date",
-    "type",
-    "summary",
-    "language",
-    "location",
-    "creator",
-    "identifier",
-    "access",
-    "subject",
-    "tag",
-    "history",
-)
-_KEY_POS = {key: pos for pos, key in enumerate(_KEY_ORDER)}
-_SINGLETON_KEYS = frozenset({"name", "date", "type", "summary", "access"})
-_SEQ_RE = re.compile(r"0|[1-9]\d*", re.ASCII)
 
 
 def serialize_event(event: ProvenanceEvent) -> str:
     """Render one history value; this exact string feeds the digest chain."""
-    return "|".join(
-        (
-            str(event.seq),
-            event.timestamp,
-            event.kind,
-            escape(event.payload),
-            event.prev,
-        )
+    return (
+        f"{event.seq}|{event.timestamp}|{event.kind}|"
+        f"{escape(event.payload)}|{event.prev}"
     )
+
+
+#: each sidecar key in its only admissible order, with the canonical
+#: values of a record's entries under it
+_CANONICAL = {
+    "name": lambda r: (escape(r.name),) if r.name else (),
+    "synonym": lambda r: map(escape, r.synonyms),
+    "format": lambda r: r.formats,
+    "date": lambda r: (r.date,) if r.date is not None else (),
+    "type": lambda r: (r.doc_type,) if r.doc_type is not None else (),
+    "summary": lambda r: (escape(r.summary),) if r.summary is not None else (),
+    "language": lambda r: r.languages,
+    "location": lambda r: map(escape, r.locations),
+    "creator": lambda r: map(escape, r.creators),
+    "identifier": lambda r: [join_fields([b.system, b.id]) for b in r.identifiers],
+    "access": lambda r: (str(r.access),) if r.access != ACCESS_PUBLIC else (),
+    "subject": lambda r: [
+        escape(s.text) if s.source is None else join_fields([s.text, s.source])
+        for s in r.subjects
+    ],
+    "tag": lambda r: map(escape, r.tags),
+    "history": lambda r: map(serialize_event, r.history),
+}
+_KEY_ORDER = tuple(_CANONICAL)
+_KEY_POS = {key: pos for pos, key in enumerate(_KEY_ORDER)}
+_SINGLETON_KEYS = frozenset({"name", "date", "type", "summary", "access"})
+#: record fields are declared in sidecar key order
+_KEY_OF_FIELD = dict(zip((f.name for f in fields(UmsRecord)), _KEY_ORDER))
+_LINE_STARTS = [(f"\n{key}: ", canonical) for key, canonical in _CANONICAL.items()]
+_SEQ_RE = re.compile(r"0|[1-9]\d*", re.ASCII)
 
 
 def canonical_serialize(record: UmsRecord) -> bytes:
     """Serialize a complete record to canonical sidecar bytes."""
     require_complete(record)
-    lines = ["ums: 1", f"name: {escape(record.name)}"]
-    lines += [f"synonym: {escape(s)}" for s in record.synonyms]
-    lines += [f"format: {f}" for f in record.formats]
-    lines.append(f"date: {record.date}")
-    if record.doc_type is not None:
-        lines.append(f"type: {record.doc_type}")
-    if record.summary is not None:
-        lines.append(f"summary: {escape(record.summary)}")
-    lines += [f"language: {c}" for c in record.languages]
-    lines += [f"location: {escape(loc)}" for loc in record.locations]
-    lines += [f"creator: {escape(c)}" for c in record.creators]
-    lines += [
-        f"identifier: {join_fields([b.system, b.id])}" for b in record.identifiers
-    ]
-    if record.access != ACCESS_PUBLIC:
-        lines.append(f"access: {record.access}")
-    for subj in record.subjects:
-        if subj.source is None:
-            lines.append(f"subject: {escape(subj.text)}")
-        else:
-            lines.append(f"subject: {join_fields([subj.text, subj.source])}")
-    lines += [f"tag: {escape(t)}" for t in record.tags]
-    lines += [f"history: {serialize_event(e)}" for e in record.history]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    out = ["ums: 1"]
+    for line_start, canonical in _LINE_STARTS:
+        out.append(line_start.join(["", *canonical(record)]))
+    out.append("\n")
+    return "".join(out).encode("utf-8")
 
 
 def _parse_history_value(value: str, line_no: int) -> ProvenanceEvent:
@@ -135,9 +122,11 @@ def parse_record_with_warnings(
 ) -> tuple[UmsRecord, list[str]]:
     """Parse sidecar bytes; lenient mode downgrades some rejects to warnings.
 
-    Strict mode accepts exactly the grammar.  Lenient mode additionally
-    tolerates unknown keys and missing required keys, reporting each as
-    a warning string, so imperfect files can still be inspected.
+    Strict mode accepts exactly the canonical sidecars of valid records
+    (an explicit ``access: 0`` aside).  Lenient mode additionally
+    tolerates unknown keys, missing required keys and values that are
+    not in canonical form, reporting each as a warning string, so
+    imperfect files can still be inspected.
     """
     if mode not in (STRICT, LENIENT):
         raise ValueError(f"unknown parse mode: {mode!r}")
@@ -192,33 +181,14 @@ def parse_record_with_warnings(
     def decode_simple(key: str) -> list[str]:
         return [decode_one(key, value, line_no) for value, line_no in values[key]]
 
-    # singleton keys hold at most one (value, line) pair
-    name = ""
-    for value, line_no in values["name"]:
-        name = decode_one("name", value, line_no)
+    def tokens(key: str) -> tuple[str, ...]:
+        return tuple(value for value, _ in values[key])
 
-    for value, line_no in values["format"]:
-        if not FORMAT_RE.fullmatch(value):
-            raise SidecarSyntaxError(line_no, f"bad format tag: {value!r}")
-    for value, line_no in values["language"]:
-        if not is_language_code(value):
-            raise SidecarSyntaxError(line_no, f"bad language code: {value!r}")
-
-    date = None
-    for value, line_no in values["date"]:
-        if not timestamps.is_canonical(value):
-            raise SidecarSyntaxError(line_no, f"bad date: {value!r}")
-        date = value
-
-    doc_type = None
-    for value, line_no in values["type"]:
-        if value not in DOC_TYPES:
-            raise SidecarSyntaxError(line_no, f"bad type: {value!r}")
-        doc_type = value
-
-    summary = None
-    for value, line_no in values["summary"]:
-        summary = decode_one("summary", value, line_no)
+    # a singleton key holds at most one value
+    (name,) = decode_simple("name") or [""]
+    (summary,) = decode_simple("summary") or [None]
+    (date,) = tokens("date") or [None]
+    (doc_type,) = tokens("type") or [None]
 
     access = ACCESS_PUBLIC
     for value, line_no in values["access"]:
@@ -226,10 +196,8 @@ def parse_record_with_warnings(
             raise SidecarSyntaxError(line_no, f"bad access level: {value!r}")
         access = int(value)
 
-    identifiers = []
-    for value, line_no in values["identifier"]:
-        system, ident = decode_fields(value, 2, line_no, "identifier")
-        identifiers.append(IdentifierBinding(system=system, id=ident))
+    pairs = [decode_fields(v, 2, n, "identifier") for v, n in values["identifier"]]
+    identifiers = tuple(IdentifierBinding(system=s, id=i) for s, i in pairs)
 
     subjects = []
     for value, line_no in values["subject"]:
@@ -244,50 +212,44 @@ def parse_record_with_warnings(
 
     history = [_parse_history_value(v, n) for v, n in values["history"]]
 
+    formats, languages = tokens("format"), tokens("language")
     try:
         record = UmsRecord(
             name=name,
             synonyms=tuple(decode_simple("synonym")),
-            formats=tuple(v for v, _ in values["format"]),
+            formats=formats,
             date=date,
             doc_type=doc_type,
             summary=summary,
-            languages=tuple(v for v, _ in values["language"]),
+            languages=languages,
             locations=tuple(decode_simple("location")),
             creators=tuple(decode_simple("creator")),
-            identifiers=tuple(identifiers),
+            identifiers=identifiers,
             access=access,
             subjects=tuple(subjects),
             tags=tuple(decode_simple("tag")),
             history=tuple(history),
         )
-    except InvariantViolation as exc:
-        line_no = _record_error_line(values, identifiers, subjects, history)
-        if line_no is None:
-            raise
+    except (InvariantViolation, InvalidTimestamp) as exc:
+        line_no = values[_KEY_OF_FIELD[exc.field]][exc.index][1]
         raise SidecarSyntaxError(line_no, str(exc)) from None
+
+    # NFC text decodes to NFC values, so the record then holds the values
+    # it was given unless it changed their case; else find the lines
+    if not (
+        unicodedata.is_normalized("NFC", text)
+        and record.formats == formats
+        and record.languages == languages
+        and [[b.system, b.id] for b in record.identifiers] == pairs
+    ):
+        for key in _KEY_ORDER:
+            for (value, line_no), canonical in zip(values[key], _CANONICAL[key](record)):
+                if value != canonical:
+                    message = f"{key} is not canonical, expected {canonical!r}"
+                    if mode == STRICT:
+                        raise SidecarSyntaxError(line_no, message)
+                    warnings.append(f"line {line_no}: {message}")
     return record, warnings
-
-
-def _record_error_line(values, identifiers, subjects, history):
-    """The line a record-wide check rejected: the first repeat within a
-    list key, or the first history line out of seq order.  Called only
-    after :class:`UmsRecord` raised, so valid input pays nothing."""
-    built = {"identifier": identifiers, "subject": subjects}
-    list_keys = [k for k in _KEY_ORDER if k not in _SINGLETON_KEYS and k != "history"]
-    for key in list_keys:
-        lines = values[key]
-        # every escape was checked while parsing, so unescape cannot fail
-        entries = built.get(key) or [nfc(unescape(v)) for v, _ in lines]
-        seen = set()
-        for entry, (_, line_no) in zip(entries, lines):
-            if entry in seen:
-                return line_no
-            seen.add(entry)
-    for seq, (event, (_, line_no)) in enumerate(zip(history, values["history"])):
-        if event.seq != seq or (seq == 0 and event.kind != "create"):
-            return line_no
-    return None
 
 
 def parse_record(data: bytes, mode: str = STRICT) -> UmsRecord:

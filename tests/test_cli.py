@@ -3,6 +3,7 @@ from __future__ import annotations
 import stat
 import subprocess
 import sys
+import unicodedata
 
 import pytest
 
@@ -268,6 +269,18 @@ class TestHistory:
         path.write_bytes(canonical_serialize(record).replace(b"|AAA|", b"|AXA|", 1))
         assert main(["history", str(path), "--verify"]) == 1
         assert "broken at seq" in capsys.readouterr().out
+
+    def test_verify_rejects_a_sidecar_rewritten_as_nfd(self, tmp_path, capsys):
+        record = full_record(creators=("Zoë Ångström",))
+        for i, payload in enumerate(["Café", "Größe"]):
+            record = apply_event(record, "rename", payload, f"2012-01-0{i + 1}T00:00:00Z")
+        path = tmp_path / "doc.ums"
+        nfd = unicodedata.normalize("NFD", canonical_serialize(record).decode())
+        path.write_bytes(nfd.encode())
+        assert main(["history", str(path), "--verify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 3: synonym is not canonical" in captured.err
 
     def test_listing_shows_events(self, tmp_path, capsys):
         record = apply_event(full_record(), "rename", "X", "2012-01-01T00:00:00Z")

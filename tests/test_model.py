@@ -3,9 +3,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from ums.errors import InvariantViolation, MissingComponent
+from ums.errors import InvalidTimestamp, InvariantViolation, MissingComponent
 from ums.model import (
+    GENESIS_PREV,
     IdentifierBinding,
+    ProvenanceEvent,
     Subject,
     SystematicName,
     UmsRecord,
@@ -134,3 +136,38 @@ class TestRecordInvariants:
             ProvenanceEvent(1, "2020-01-02", "rename", "n", "a" * 16 + "\n")
         with pytest.raises(InvariantViolation):
             SystematicName(kind="person", who=("A",), qualifier="12\n")
+
+
+_CREATE = ProvenanceEvent(0, "2020-01-01", "create", "", GENESIS_PREV)
+_RENAME = ProvenanceEvent(1, "2020-01-02", "rename", "n", "a" * 16)
+
+
+@pytest.mark.parametrize(
+    "fields, field, index",
+    [
+        (dict(synonyms=("a", "")), "synonyms", 1),
+        (dict(formats=("pdf", "p!")), "formats", 1),
+        (dict(formats=("pdf", "html", "PDF")), "formats", 2),
+        (dict(date="2011-02-30"), "date", 0),
+        (dict(doc_type="book"), "doc_type", 0),
+        (dict(summary=""), "summary", 0),
+        (dict(languages=("en", "python")), "languages", 1),
+        (dict(locations=("a", "b", "a")), "locations", 2),
+        (dict(creators=("é", "é")), "creators", 1),
+        (
+            dict(identifiers=(IdentifierBinding("DOI", "x"), IdentifierBinding("doi", "x"))),
+            "identifiers",
+            1,
+        ),
+        (dict(subjects=(Subject("s"), Subject("t"), Subject("s"))), "subjects", 2),
+        (dict(access=4), "access", 0),
+        (dict(tags=("t", "u", "t")), "tags", 2),
+        (dict(history=(_CREATE, _RENAME, _RENAME)), "history", 2),
+        (dict(history=(_RENAME,)), "history", 0),
+        (dict(history=(ProvenanceEvent(0, "2020-01-02", "rename", "n", GENESIS_PREV),)), "history", 0),
+    ],
+)
+def test_record_rejection_names_field_and_index(fields, field, index):
+    with pytest.raises((InvariantViolation, InvalidTimestamp)) as excinfo:
+        UmsRecord(name="x", **fields)
+    assert (excinfo.value.field, excinfo.value.index) == (field, index)

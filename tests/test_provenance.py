@@ -245,6 +245,29 @@ def test_edited_synonym_line_blames_the_rename_it_breaks():
     assert excinfo.value.seq == 3
 
 
+def test_two_broken_lists_blame_the_lowest_seq():
+    record = UmsRecord(
+        name="x", formats=("pdf",), date="2011-03-01", locations=("http://origin",)
+    )
+    record = apply_event(record, "relocate", "http://mirror", "2012-01-01T00:00:00Z")
+    record = apply_event(record, "rename", "BBB", "2012-01-02T00:00:00Z")
+    data = canonical_serialize(record)
+    data = data.replace(b"location: http://mirror\n", b"location: http://other\n")
+    tampered = parse_record(data.replace(b"synonym: BBB\n", b"synonym: ZZZ\n"))
+    assert verify_history(tampered).broken_at == 1
+    with pytest.raises(BrokenChain) as excinfo:
+        original_view(tampered)
+    assert excinfo.value.seq == 1
+
+
+def test_missing_value_before_a_malformed_payload_is_blamed_first():
+    record = apply_event(octology(), "rename", "AAA", "2012-01-01T00:00:00Z")
+    record = apply_event(record, "rename", "BBB", "2012-01-02T00:00:00Z")
+    data = canonical_serialize(record).replace(b"synonym: AAA\n", b"")
+    tampered = parse_record(data.replace(b"|rename|BBB|", b"|rename||"))
+    assert verify_history(tampered).broken_at == 1
+
+
 _REPLAY_VALUES = ("a", "b", "c", "d", "e", "f")
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import random
+import unicodedata
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,11 +13,13 @@ from ums.errors import (
     InvalidTimestamp,
     InvariantViolation,
     SidecarSyntaxError,
+    UmsError,
     UnknownKey,
 )
 from ums.model import UmsRecord
 from ums.sidecar import (
     LENIENT,
+    STRICT,
     canonical_serialize,
     parse_record,
     parse_record_with_warnings,
@@ -188,6 +192,11 @@ GOOD_LINES = [
         # replaces the good line as many lines up as it has line feeds
         (7, "tag: x\ntag: x"),
         (7, "history: 0|2011-03-01|create||0000000000000000\nhistory: 2|2011-03-01|rename|y|0000000000000000"),
+        # a value the model would have to normalize is not canonical
+        (2, unicodedata.normalize("NFD", "name: Zoë")),
+        (6, "language: en\nidentifier: doi|10.1/x"),
+        (5, "date: 2011-03-01\ntype: book"),
+        (4, "format: pdf\nformat: pdf"),
     ],
 )
 def test_bad_value_names_its_line(line_no, bad_line):
@@ -196,3 +205,93 @@ def test_bad_value_names_its_line(line_no, bad_line):
     with pytest.raises(SidecarSyntaxError) as excinfo:
         parse_record(("\n".join(lines) + "\n").encode())
     assert excinfo.value.line == line_no
+
+
+def test_escaped_line_feed_before_a_combining_mark_is_canonical():
+    # the record name is NFC, but its escaped line is not: the escape's
+    # "n" composes with the acute, so no whole-text NFC gate may reject it
+    record = UmsRecord(name="a\n\u0301b", formats=("pdf",), date="2011-03-01")
+    data = canonical_serialize(record)
+    assert "name: a\\n\u0301b\n".encode() in data
+    assert not unicodedata.is_normalized("NFC", data.decode())
+    assert parse_record(data) == record
+
+
+def test_lenient_keeps_a_non_canonical_value_and_warns():
+    data = b"ums: 1\nname: x\nformat: PDF\ndate: 2011-03-01\nlanguage: EN\n"
+    record, warnings = parse_record_with_warnings(data, LENIENT)
+    assert (record.formats, record.languages) == (("pdf",), ("en",))
+    assert warnings == [
+        "line 3: format is not canonical, expected 'pdf'",
+        "line 5: language is not canonical, expected 'en'",
+    ]
+
+
+def _mutated(seed: int, kind: str) -> tuple[bytes, bytes, int]:
+    """A canonical sidecar from recgen, the same sidecar with one value
+    made non-canonical by *kind*, and the line that mutation touched;
+    "combining" instead adds canonical values that escape a line feed
+    before a combining mark, and touches no line."""
+    rng = random.Random(seed)
+    record = recgen.record_with_history(rng)
+    if kind == "combining":
+        tricky = rng.choice("a\u00e9|") + "\n" + rng.choice("\u0301\u0308\u0327")
+        record = dataclasses.replace(
+            record, summary=tricky, tags=tuple(dict.fromkeys(record.tags + (tricky,)))
+        )
+    original = canonical_serialize(record)
+    lines = original.decode().split("\n")
+    if kind == "nfd":
+        candidates = [i for i in range(1, len(lines) - 1)
+                      if unicodedata.normalize("NFD", lines[i]) != lines[i]]
+    else:
+        prefix = {"upper": ("format: ", "language: "), "lower-system": ("identifier: ",)}
+        candidates = [i for i, line in enumerate(lines) if line.startswith(prefix.get(kind, "\0"))]
+    if not candidates:
+        return original, original, 0
+    i = rng.choice(candidates)
+    key, _, value = lines[i].partition(": ")
+    if kind == "nfd":
+        lines[i] = unicodedata.normalize("NFD", lines[i])
+    elif kind == "upper":
+        lines[i] = f"{key}: {value.upper()}"
+    else:
+        system, _, ident = value.partition("|")
+        lines[i] = f"{key}: {system.lower()}|{ident}"
+    return original, "\n".join(lines).encode(), i + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("nfd", "upper", "lower-system", "combining")))
+def test_strict_parsing_accepts_only_canonical_values(seed, kind):
+    original, mutated, line_no = _mutated(seed, kind)
+    if mutated == original:
+        assert canonical_serialize(parse_record(mutated)) == mutated
+    else:
+        with pytest.raises(SidecarSyntaxError) as excinfo:
+            parse_record(mutated)
+        assert excinfo.value.line == line_no
+    record, warnings = parse_record_with_warnings(mutated, LENIENT)
+    assert canonical_serialize(record) == original
+    assert [w.split(":")[0] for w in warnings] == [f"line {line_no}"] * (mutated != original)
+
+
+_KEYS = ("ums", "name", "synonym", "format", "date", "type", "summary", "language",
+         "location", "creator", "identifier", "access", "subject", "tag", "history", "color")
+_VALUES = st.text(
+    st.one_of(st.sampled_from("|\\n0aZ-:T\u0301"), st.characters(exclude_categories=("Cs",))),
+    max_size=12,
+)
+_SIDECAR_LIKE = st.lists(st.tuples(st.sampled_from(_KEYS), _VALUES), max_size=10).map(
+    lambda pairs: ("ums: 1\n" + "".join(f"{k}: {v}\n" for k, v in pairs)).encode()
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=80), st.binary(max_size=80).map(MINIMAL.__add__), _SIDECAR_LIKE))
+def test_arbitrary_bytes_raise_only_ums_errors(data):
+    for mode in (STRICT, LENIENT):
+        try:
+            parse_record(data, mode)
+        except UmsError:
+            pass
