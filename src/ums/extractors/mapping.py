@@ -3,32 +3,53 @@
 Tables are data: a built-in default plus a loadable file format.  The
 first matching rule wins, singleton fields fill once, and everything
 that did not land in a field comes back for audit, so no input pair is
-ever silently dropped.
+ever silently dropped.  Each value is shaped by the rule the record
+itself applies to its field.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from .. import timestamps
 from ..errors import InvalidTimestamp, InvariantViolation, MappingError, RuleConflict
-from ..languages import is_language_code
-from ..model import DOC_TYPES, FORMAT_RE, IdentifierBinding, Subject, UmsRecord
+from ..model import (
+    SINGLETON_KEYS,
+    IdentifierBinding,
+    Subject,
+    UmsRecord,
+    access_level,
+    document_type,
+    format_tag,
+    language_code,
+    nfc,
+)
 from . import RawMetadata, base_key
 
 MAPPING_HEADER = "ums-mapping: 1"
 
-_SINGLETON_TARGETS = frozenset({"name", "date", "type", "summary", "access"})
-#: list targets that accept only their first contribution
-_ONE_SHOT_TARGETS = frozenset({"format", "creator"})
-_PLAIN_TARGETS = _SINGLETON_TARGETS | _ONE_SHOT_TARGETS | {
-    "location",
-    "language",
-    "tag",
-    "subject",
+#: mapping target -> the record field it fills and the model's rule for
+#: one carrier value (``identifier:<SYSTEM>`` targets fill identifiers)
+_TARGETS = {
+    "name": ("name", nfc),
+    "format": ("formats", format_tag),
+    "date": ("date", timestamps.normalize),
+    "type": ("doc_type", document_type),
+    "summary": ("summary", nfc),
+    "language": ("languages", language_code),
+    "location": ("locations", nfc),
+    "creator": ("creators", nfc),
+    "access": ("access", access_level),
+    "subject": ("subjects", Subject),
+    "tag": ("tags", nfc),
 }
+#: targets that take only their first value; the others take each
+#: distinct value
+_FIRST_ONLY = SINGLETON_KEYS | {"format", "creator"}
+_SINGLE_VALUED = frozenset(_TARGETS[key][0] for key in SINGLETON_KEYS)
 _IDENTIFIER_TARGET_RE = re.compile(r"identifier:([A-Z0-9]+)")
 _RULE_LINE_RE = re.compile(r"(\w+)\.(.+?) -> (\S+)")
 
@@ -40,27 +61,58 @@ class MappingRule:
     target: str
 
 
+def _format_rule(key: str, carrier: str):
+    """:func:`format_tag` of a value (of a MIME type's subtype); a value
+    that is no format tag states the carrier's own format."""
+
+    def rule(value: str) -> str:
+        if key == "MIMEType" and "/" in value:
+            value = value.rsplit("/", 1)[1]
+        try:
+            return format_tag(value)
+        except InvariantViolation:
+            return carrier
+
+    return rule
+
+
+def _slot(rule: MappingRule) -> tuple:
+    """The record field a rule fills, the rule its values pass, and
+    whether only the first value counts."""
+    if rule.target in _TARGETS:
+        record_field, shape = _TARGETS[rule.target]
+        if shape is format_tag:
+            shape = _format_rule(rule.key, rule.carrier)
+        return record_field, shape, rule.target in _FIRST_ONLY
+    system = _IDENTIFIER_TARGET_RE.fullmatch(rule.target).group(1)
+    return "identifiers", partial(IdentifierBinding, system), False
+
+
 @dataclass(frozen=True)
 class MappingTable:
     rules: tuple[MappingRule, ...]
+    #: carrier -> raw key -> the slot of the first rule for that key
+    _slots: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         filled: set[tuple[str, str]] = set()
+        slots: dict[str, dict[str, tuple]] = {}
         for rule in self.rules:
-            if rule.target not in _PLAIN_TARGETS and not _IDENTIFIER_TARGET_RE.fullmatch(
+            if rule.target not in _TARGETS and not _IDENTIFIER_TARGET_RE.fullmatch(
                 rule.target
             ):
                 raise MappingError(f"unknown mapping target: {rule.target!r}")
-            if rule.target in _SINGLETON_TARGETS:
-                slot = (rule.carrier, rule.target)
-                if slot in filled:
+            if rule.target in SINGLETON_KEYS:
+                filling = (rule.carrier, rule.target)
+                if filling in filled:
                     raise RuleConflict(
                         f"two rules target {rule.target} for carrier {rule.carrier}"
                     )
-                filled.add(slot)
-
-    def rules_for(self, carrier: str) -> tuple[MappingRule, ...]:
-        return tuple(r for r in self.rules if r.carrier == carrier)
+                filled.add(filling)
+            by_key = slots.setdefault(rule.carrier, {})
+            if rule.key not in by_key:
+                by_key[rule.key] = _slot(rule)
+        object.__setattr__(self, "_slots", slots)
 
 
 DEFAULT_MAPPING = MappingTable(
@@ -100,23 +152,6 @@ def load_mapping(data: bytes) -> MappingTable:
     return MappingTable(rules=tuple(rules))
 
 
-def _normalize_mapped_date(value: str) -> Optional[str]:
-    try:
-        return timestamps.normalize(value)
-    except InvalidTimestamp:
-        return None
-
-
-def _format_token(key: str, value: str, carrier: str) -> str:
-    if key == "MIMEType" and "/" in value:
-        candidate = value.rsplit("/", 1)[1].lower()
-    else:
-        candidate = value.lower()
-    if FORMAT_RE.fullmatch(candidate):
-        return candidate
-    return carrier
-
-
 def map_raw_to_ums(
     raw: RawMetadata,
     table: MappingTable = DEFAULT_MAPPING,
@@ -126,105 +161,46 @@ def map_raw_to_ums(
 
     Pairs are processed in extraction order; the first rule matching a
     pair's base key applies.  A pair whose target is already filled, whose
-    value is empty, or whose value cannot be shaped for the target (a date
-    in no accepted form, say), goes to the unmapped list instead of being
-    guessed at.
+    value is empty, or whose value the target's rule rejects (a date in no
+    accepted form, say), goes to the unmapped list instead of being
+    guessed at.  A value equal to one already mapped after that rule has
+    shaped it is mapped once.
     """
-    rules = table.rules_for(raw.carrier)
-    if not rules:
+    slots = table._slots.get(raw.carrier)
+    if not slots:
         raise MappingError(f"mapping table has no rules for carrier {raw.carrier!r}")
 
-    singles: dict[str, str] = {}
-    creators: list[str] = []
-    formats: list[str] = []
-    locations: list[str] = []
-    languages: list[str] = []
-    tags: list[str] = []
-    subjects: list[str] = []
-    identifiers: list[IdentifierBinding] = []
+    values: dict[str, list] = {}
     unmapped: list[tuple[str, str]] = []
-
-    def rule_for(key: str) -> Optional[MappingRule]:
-        for rule in rules:
-            if rule.key == key:
-                return rule
-        return None
-
     for key, value in raw.pairs:
-        rule = rule_for(base_key(key))
-        if rule is None or value == "":
-            unmapped.append((key, value))
-            continue
-        target = rule.target
-        mapped = False
-        if target in _SINGLETON_TARGETS:
-            if target not in singles:
-                shaped = value
-                if target == "date":
-                    shaped = _normalize_mapped_date(value)
-                elif target == "type":
-                    shaped = value if value in DOC_TYPES else None
-                elif target == "access":
-                    shaped = value if value in ("0", "1", "2", "3") else None
-                if shaped is not None:
-                    singles[target] = shaped
-                    mapped = True
-        elif target == "creator":
-            if not creators:
-                creators.append(value)
-                mapped = True
-        elif target == "format":
-            if not formats:
-                formats.append(_format_token(base_key(key), value, raw.carrier))
-                mapped = True
-        elif target == "location":
-            if value not in locations:
-                locations.append(value)
-            mapped = True
-        elif target == "language":
-            code = value.lower()
-            if is_language_code(code):
-                if code not in languages:
-                    languages.append(code)
-                mapped = True
-        elif target == "tag":
-            if value not in tags:
-                tags.append(value)
-            mapped = True
-        elif target == "subject":
-            if value not in subjects:
-                subjects.append(value)
-            mapped = True
-        else:
-            system = _IDENTIFIER_TARGET_RE.fullmatch(target).group(1)
-            try:
-                binding = IdentifierBinding(system=system, id=value)
-            except InvariantViolation:
-                binding = None
-            if binding is not None:
-                if binding not in identifiers:
-                    identifiers.append(binding)
-                mapped = True
-        if not mapped:
-            unmapped.append((key, value))
+        slot = slots.get(base_key(key))
+        if slot is not None and value != "":
+            record_field, rule, first_only = slot
+            got = values.setdefault(record_field, [])
+            if not (first_only and got):
+                try:
+                    shaped = rule(value)
+                except (InvariantViolation, InvalidTimestamp):
+                    pass
+                else:
+                    if shaped not in got:
+                        got.append(shaped)
+                    continue
+        unmapped.append((key, value))
 
+    formats = values.setdefault("formats", [])
     if not formats and raw.pairs:
         formats.append(raw.carrier)
-    if source is not None and source not in locations:
-        locations.insert(0, source)
+    if source:
+        locations = values.setdefault("locations", [])
+        if nfc(source) not in locations:
+            locations.insert(0, source)
 
     record = UmsRecord(
-        name=singles.get("name", ""),
-        formats=tuple(formats),
-        date=singles.get("date"),
-        doc_type=singles.get("type"),
-        summary=singles.get("summary"),
-        languages=tuple(languages),
-        locations=tuple(locations),
-        creators=tuple(creators),
-        identifiers=tuple(identifiers),
-        access=int(singles.get("access", "0")),
-        subjects=tuple(Subject(text=s) for s in subjects),
-        tags=tuple(tags),
+        **{
+            record_field: got[0] if record_field in _SINGLE_VALUED else tuple(got)
+            for record_field, got in values.items()
+            if got
+        }
     )
     return record, tuple(unmapped)

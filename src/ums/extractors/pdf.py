@@ -12,6 +12,7 @@ import re
 from typing import Optional, Union
 
 from ..errors import NotPdf, NotSupported
+from ..timestamps import PDF_DATE_RE
 from . import CARRIER_PDF, PairBuilder, RawMetadata
 
 _WHITESPACE = b"\x00\t\n\x0c\r "
@@ -20,10 +21,6 @@ _DELIMITERS = b"()<>[]{}/%"
 _HEADER_RE = re.compile(rb"^%PDF-(\d+\.\d+)")
 _STARTXREF_RE = re.compile(rb"startxref\s+(\d+)", re.S)
 _PAGE_TYPE_RE = re.compile(rb"/Type\s*/Page(?![a-zA-Z])")
-_PDF_DATE_RE = re.compile(
-    r"^D:(\d{4})(\d{2})?(\d{2})?(\d{2})?(\d{2})?(\d{2})?"
-    r"(Z|[+-]\d{2}(?:'\d{2}'?)?)?$"
-)
 _ISO_DATE_RE = re.compile(
     r"^(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})(Z|[+-]\d{2}:\d{2})?$"
 )
@@ -251,7 +248,7 @@ def _decode_text(raw: bytes) -> str:
 
 def _pdf_date_to_display(value: str) -> Optional[str]:
     """``D:YYYYMMDDhhmmss±hh'mm'`` -> ``YYYY:MM:DD hh:mm:ss±hh:mm``."""
-    m = _PDF_DATE_RE.match(value)
+    m = PDF_DATE_RE.fullmatch(value)
     if not m:
         return None
     y, mo, d, h, mi, s, tz = m.groups()

@@ -17,8 +17,8 @@ from .extractors import RawMetadata, base_key
 from .identifiers import BUILTIN_SYSTEMS, validate_identifier
 # perfbench/spans.py wraps ums.lint.resolve, and a traced run fails if it is unbound
 from .metabase import Metabase, resolve  # noqa: F401
-from .model import UmsRecord
-from .validation import creator_known
+from .model import UmsRecord, missing_fields
+from .validation import RECOMMENDED_FIELDS, uncatalogued_creators
 
 ERROR = "error"
 WARNING = "warning"
@@ -156,30 +156,24 @@ def lint_record(
     """
     findings: list[LintFinding] = []
 
-    for field, values in (
-        ("language", record.languages),
-        ("location", record.locations),
-        ("creator", record.creators),
-    ):
-        if not values:
-            findings.append(
-                LintFinding(
-                    code="MISSING_RECOMMENDED",
-                    severity=WARNING,
-                    message=f"record has no {field}",
-                )
+    for key in missing_fields(record, RECOMMENDED_FIELDS):
+        findings.append(
+            LintFinding(
+                code="MISSING_RECOMMENDED",
+                severity=WARNING,
+                message=f"record has no {key}",
             )
+        )
 
     if metabase is not None:
-        for creator in record.creators:
-            if not creator_known(metabase, creator):
-                findings.append(
-                    LintFinding(
-                        code="UNCATALOGED_CREATOR",
-                        severity=WARNING,
-                        message=f"creator not in author/organization catalogs: {creator}",
-                    )
+        for creator in uncatalogued_creators(record, metabase):
+            findings.append(
+                LintFinding(
+                    code="UNCATALOGED_CREATOR",
+                    severity=WARNING,
+                    message=f"creator not in author/organization catalogs: {creator}",
                 )
+            )
 
     present = {binding.system for binding in record.identifiers}
     for left, right in related_systems:

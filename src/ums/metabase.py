@@ -8,7 +8,6 @@ so concurrent readers never need coordination.
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
@@ -101,14 +100,8 @@ def resolve(catalog: Catalog, query: str) -> Resolution:
     return Resolution(kind="none")
 
 
-def load_catalog(stream: Union[bytes, io.IOBase]) -> Catalog:
+def load_catalog(data: bytes) -> Catalog:
     """Parse the catalog file format into a catalog."""
-    if isinstance(stream, bytes):
-        data = stream
-    else:
-        data = stream.read()
-        if isinstance(data, str):
-            data = data.encode("utf-8")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

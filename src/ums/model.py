@@ -31,13 +31,19 @@ NAME_KINDS = ("person", "organization", "document", "other")
 EVENT_KINDS = ("create", "rename", "reclassify", "relocate", "reformat", "translate")
 
 ACCESS_PUBLIC, ACCESS_INTERNAL, ACCESS_RESTRICTED, ACCESS_SECRET = range(4)
+_ACCESS_TOKENS = {str(level): level for level in range(4)}
+
+#: keys (sidecar lines and mapping targets) that hold at most one value
+SINGLETON_KEYS = frozenset({"name", "date", "type", "summary", "access"})
+#: the identification triple of a complete record: key -> record field
+REQUIRED_FIELDS = {"name": "name", "format": "formats", "date": "date"}
 
 #: strictness of sidecar parsing and of record validation
 STRICT = "strict"
 LENIENT = "lenient"
 
-#: a format tag (whole-string match); records check tags with
-#: :func:`format_tag`, mapping with this pattern directly
+#: a format tag (whole-string match); every format is checked with
+#: :func:`format_tag`
 FORMAT_RE = re.compile(r"[a-z0-9]+")
 _SYSTEM_RE = re.compile(r"[A-Z0-9]+")
 _PREV_RE = re.compile(r"[0-9a-f]{16}")
@@ -61,15 +67,16 @@ def _rejected(message: str, field: str, index: int = 0) -> InvariantViolation:
     return exc
 
 
-def _entries(
-    values: Iterable[str], what: str, field: Optional[str] = None, rule=nfc
-) -> tuple[str, ...]:
-    """Each entry through *rule*; a rejection names *field* and the index
-    of the entry it rejects."""
-    out: list[str] = []
+def checked(
+    field: Optional[str], values: Iterable, rule=nfc, what: Optional[str] = None
+) -> tuple:
+    """Each value through *rule*; given *what*, a value must be non-empty
+    text first.  A rejection names *field* and the index of the value it
+    rejects."""
+    out: list = []
     try:
         for v in values:
-            if not isinstance(v, str) or v == "":
+            if what is not None and (not isinstance(v, str) or v == ""):
                 raise InvariantViolation(f"empty or non-text {what} entry")
             out.append(rule(v))
     except InvariantViolation as exc:
@@ -102,6 +109,21 @@ def language_code(value: str) -> str:
     if not is_language_code(code):
         raise InvariantViolation(f"not a natural-language code: {code!r}")
     return code
+
+
+def document_type(value: str) -> str:
+    """*value* if it names a document type, or raise."""
+    if value not in DOC_TYPES:
+        raise _rejected(f"unknown document type: {value!r}", "doc_type")
+    return value
+
+
+def access_level(token: str) -> int:
+    """The access level a token ``0`` to ``3`` states, or raise."""
+    try:
+        return _ACCESS_TOKENS[token]
+    except KeyError:
+        raise InvariantViolation(f"bad access level: {token!r}") from None
 
 
 @dataclass(frozen=True)
@@ -172,7 +194,7 @@ class SystematicName:
     def __post_init__(self):
         if self.kind not in NAME_KINDS:
             raise InvariantViolation(f"unknown name kind: {self.kind!r}")
-        who = _entries(self.who, "name component")
+        who = checked(None, self.who, what="name component")
         if not who:
             raise MissingComponent("a systematic name needs a who-part")
         object.__setattr__(self, "who", who)
@@ -301,27 +323,27 @@ class UmsRecord:
         field and the index of the entry it rejects."""
         set_ = object.__setattr__
         set_(self, "name", nfc(self.name))
-        set_(self, "synonyms", _entries(self.synonyms, "synonym", "synonyms"))
-        set_(self, "formats", _entries(self.formats, "format", "formats", format_tag))
+        set_(self, "synonyms", checked("synonyms", self.synonyms, what="synonym"))
+        set_(self, "formats", checked("formats", self.formats, format_tag, "format"))
         if self.date is not None:
             try:
                 timestamps.ensure_canonical(self.date)
             except InvalidTimestamp as exc:
                 exc.field = "date"
                 raise
-        if self.doc_type is not None and self.doc_type not in DOC_TYPES:
-            raise _rejected(f"unknown document type: {self.doc_type!r}", "doc_type")
+        if self.doc_type is not None:
+            document_type(self.doc_type)
         if self.summary is not None:
             if self.summary == "":
                 raise _rejected("empty summary", "summary")
             set_(self, "summary", nfc(self.summary))
-        languages = _entries(self.languages, "language", "languages", language_code)
+        languages = checked("languages", self.languages, language_code, "language")
         set_(self, "languages", languages)
-        set_(self, "locations", _entries(self.locations, "location", "locations"))
-        set_(self, "creators", _entries(self.creators, "creator", "creators"))
+        set_(self, "locations", checked("locations", self.locations, what="location"))
+        set_(self, "creators", checked("creators", self.creators, what="creator"))
         set_(self, "identifiers", tuple(self.identifiers))
         set_(self, "subjects", tuple(self.subjects))
-        set_(self, "tags", _entries(self.tags, "tag", "tags"))
+        set_(self, "tags", checked("tags", self.tags, what="tag"))
         set_(self, "history", tuple(self.history))
 
         if not isinstance(self.access, int) or not 0 <= self.access <= 3:
@@ -346,20 +368,19 @@ class UmsRecord:
             raise _rejected("history must start with a create event", "history")
 
 
+def missing_fields(
+    record: UmsRecord, fields: dict[str, str] = REQUIRED_FIELDS
+) -> list[str]:
+    """The keys of *fields* whose record field is empty or unset."""
+    return [key for key, field in fields.items() if not getattr(record, field)]
+
+
 def is_complete(record: UmsRecord) -> bool:
     """True when the record carries the required identification triple."""
-    return record.name != "" and bool(record.formats) and record.date is not None
+    return not missing_fields(record)
 
 
 def require_complete(record: UmsRecord) -> None:
-    missing = [
-        label
-        for label, ok in (
-            ("name", record.name != ""),
-            ("format", bool(record.formats)),
-            ("date", record.date is not None),
-        )
-        if not ok
-    ]
-    if missing:
-        raise InvariantViolation(f"record incomplete, missing: {', '.join(missing)}")
+    absent = missing_fields(record)
+    if absent:
+        raise InvariantViolation(f"record incomplete, missing: {', '.join(absent)}")

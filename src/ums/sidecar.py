@@ -9,9 +9,10 @@ Serialization is canonical: the same record always produces the same
 bytes, and ``parse_record(canonical_serialize(r)) == r``.
 
 The parser checks grammar: lines, key order, once-only keys, escapes,
-field counts and the digits of access levels and history seqs.  The
-model checks values: :class:`UmsRecord` and :class:`ProvenanceEvent`
-hold the only format, language, date, type, duplicate and history-order
+field counts and the digits of history seqs.  The model checks values:
+:class:`UmsRecord`, :class:`ProvenanceEvent`, :class:`IdentifierBinding`,
+:class:`Subject` and :func:`access_level` hold the only format, language,
+date, type, access, identifier, subject, duplicate and history-order
 rules, and each rejection names its field and entry, which the parser
 turns into a :class:`SidecarSyntaxError` naming the line.  Strict
 parsing also rejects a value the model had to normalize (non-NFC text,
@@ -37,11 +38,15 @@ from .escaping import decode_fields, escape, join_fields, split_fields, unescape
 from .model import (
     ACCESS_PUBLIC,
     LENIENT,
+    REQUIRED_FIELDS,
+    SINGLETON_KEYS,
     STRICT,
     IdentifierBinding,
     ProvenanceEvent,
     Subject,
     UmsRecord,
+    access_level,
+    checked,
     require_complete,
 )
 
@@ -79,7 +84,6 @@ _CANONICAL = {
 }
 _KEY_ORDER = tuple(_CANONICAL)
 _KEY_POS = {key: pos for pos, key in enumerate(_KEY_ORDER)}
-_SINGLETON_KEYS = frozenset({"name", "date", "type", "summary", "access"})
 #: record fields are declared in sidecar key order
 _KEY_OF_FIELD = dict(zip((f.name for f in fields(UmsRecord)), _KEY_ORDER))
 _LINE_STARTS = [(f"\n{key}: ", canonical) for key, canonical in _CANONICAL.items()]
@@ -115,6 +119,16 @@ def _parse_history_value(value: str, line_no: int) -> ProvenanceEvent:
         )
     except (InvariantViolation, InvalidTimestamp) as exc:
         raise SidecarSyntaxError(line_no, f"history: {exc}") from None
+
+
+def _subject_fields(value: str, line_no: int) -> list[str]:
+    raw = split_fields(value)
+    if len(raw) not in (1, 2):
+        raise SidecarSyntaxError(line_no, "subject needs 1 or 2 fields")
+    try:
+        return [unescape(f) for f in raw]
+    except ValueError as exc:
+        raise SidecarSyntaxError(line_no, f"subject: {exc}") from None
 
 
 def parse_record_with_warnings(
@@ -156,12 +170,12 @@ def parse_record_with_warnings(
             continue
         if pos < order_pos:
             raise SidecarSyntaxError(line_no, f"key {key!r} out of order")
-        if key in _SINGLETON_KEYS and values[key]:
+        if key in SINGLETON_KEYS and values[key]:
             raise DuplicateSingletonKey(line_no, key)
         order_pos = pos
         values[key].append((value, line_no))
 
-    missing = [k for k in ("name", "format", "date") if not values[k]]
+    missing = [k for k in REQUIRED_FIELDS if not values[k]]
     if missing:
         if mode == STRICT:
             raise SidecarSyntaxError(
@@ -190,30 +204,14 @@ def parse_record_with_warnings(
     (date,) = tokens("date") or [None]
     (doc_type,) = tokens("type") or [None]
 
-    access = ACCESS_PUBLIC
-    for value, line_no in values["access"]:
-        if value not in ("0", "1", "2", "3"):
-            raise SidecarSyntaxError(line_no, f"bad access level: {value!r}")
-        access = int(value)
-
-    pairs = [decode_fields(v, 2, n, "identifier") for v, n in values["identifier"]]
-    identifiers = tuple(IdentifierBinding(system=s, id=i) for s, i in pairs)
-
-    subjects = []
-    for value, line_no in values["subject"]:
-        raw = split_fields(value)
-        if len(raw) not in (1, 2):
-            raise SidecarSyntaxError(line_no, "subject needs 1 or 2 fields")
-        try:
-            parts = [unescape(f) for f in raw]
-        except ValueError as exc:
-            raise SidecarSyntaxError(line_no, f"subject: {exc}") from None
-        subjects.append(Subject(text=parts[0], source=parts[1] if len(parts) == 2 else None))
-
-    history = [_parse_history_value(v, n) for v, n in values["history"]]
-
     formats, languages = tokens("format"), tokens("language")
     try:
+        (access,) = checked("access", tokens("access"), access_level) or (ACCESS_PUBLIC,)
+        pairs = [decode_fields(v, 2, n, "identifier") for v, n in values["identifier"]]
+        identifiers = checked("identifiers", pairs, lambda p: IdentifierBinding(*p))
+        subject_fields = (_subject_fields(v, n) for v, n in values["subject"])
+        subjects = checked("subjects", subject_fields, lambda p: Subject(*p))
+        history = [_parse_history_value(v, n) for v, n in values["history"]]
         record = UmsRecord(
             name=name,
             synonyms=tuple(decode_simple("synonym")),
@@ -226,7 +224,7 @@ def parse_record_with_warnings(
             creators=tuple(decode_simple("creator")),
             identifiers=identifiers,
             access=access,
-            subjects=tuple(subjects),
+            subjects=subjects,
             tags=tuple(decode_simple("tag")),
             history=tuple(history),
         )

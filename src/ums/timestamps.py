@@ -31,9 +31,11 @@ _DISPLAY_RE = re.compile(
 _ISO_OFFSET_RE = re.compile(
     r"(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})(Z|[+-]\d{2}:\d{2})", re.ASCII
 )
-_PDF_RE = re.compile(
+#: PDF date strings: each field after the year optional, and an offset
+#: of ``Z``, ``+hh``, ``+hh'mm`` or ``+hh'mm'``
+PDF_DATE_RE = re.compile(
     r"D:(\d{4})(\d{2})?(\d{2})?(\d{2})?(\d{2})?(\d{2})?"
-    r"(Z|[+-]\d{2}'(?:\d{2})'?)?",
+    r"(Z|[+-]\d{2}(?:'\d{2}'?)?)?",
     re.ASCII,
 )
 #: days per month of a common year; February gains one in leap years
@@ -68,56 +70,36 @@ def ensure_canonical(value: str) -> str:
     return value
 
 
-def _utc_string(dt: datetime) -> str:
-    dt = dt.astimezone(timezone.utc)
-    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _offset_delta(tz: str) -> timedelta:
-    sign = 1 if tz[0] == "+" else -1
-    hours, minutes = int(tz[1:3]), int(tz[4:6])
-    return sign * timedelta(hours=hours, minutes=minutes)
-
-
 def normalize(value: str) -> str:
     """Convert any accepted timestamp shape to canonical form.
 
     Accepted inputs: canonical forms, extractor display form
     ``YYYY:MM:DD hh:mm:ss(Z|±hh:mm)``, ISO 8601 with offset, and PDF
-    ``D:YYYYMMDDhhmmss(Z|±hh'mm')`` strings.  Raises InvalidTimestamp
-    for anything else.
+    ``D:YYYYMMDDhhmmss(Z|±hh|±hh'mm')`` strings.  Raises InvalidTimestamp
+    for anything else, and for an instant outside years 1-9999 UTC.
     """
     value = value.strip()
     if is_canonical(value):
         return value
-
-    m = _DISPLAY_RE.fullmatch(value) or _ISO_OFFSET_RE.fullmatch(value)
-    if m:
-        y, mo, d, h, mi, s, tz = m.groups()
-        dt = _build(y, mo, d, h, mi, s)
-        if tz != "Z":
-            dt -= _offset_delta(tz)
-        return _utc_string(dt.replace(tzinfo=timezone.utc))
-
-    m = _PDF_RE.fullmatch(value)
-    if m:
-        y, mo, d, h, mi, s, tz = m.groups()
-        dt = _build(y, mo or "01", d or "01", h or "00", mi or "00", s or "00")
-        if tz and tz != "Z":
-            tz = tz.replace("'", ":").rstrip(":")
-            if len(tz) == 3:
-                tz += ":00"
-            dt -= _offset_delta(tz)
-        return _utc_string(dt.replace(tzinfo=timezone.utc))
-
-    raise InvalidTimestamp(f"unrecognized timestamp: {value!r}")
-
-
-def _build(y: str, mo: str, d: str, h: str, mi: str, s: str) -> datetime:
+    m = (
+        _DISPLAY_RE.fullmatch(value)
+        or _ISO_OFFSET_RE.fullmatch(value)
+        or PDF_DATE_RE.fullmatch(value)
+    )
+    if m is None:
+        raise InvalidTimestamp(f"unrecognized timestamp: {value!r}")
+    y, mo, d, h, mi, s, tz = m.groups()
     try:
-        return datetime(int(y), int(mo), int(d), int(h), int(mi), int(s))
-    except ValueError as exc:
+        dt = datetime(
+            int(y), int(mo or 1), int(d or 1), int(h or 0), int(mi or 0), int(s or 0)
+        )
+        if tz and tz != "Z":
+            # hours, then the minutes after a ":" or "'", if any
+            offset = timedelta(hours=int(tz[1:3]), minutes=int(tz[4:6] or 0))
+            dt = dt - offset if tz[0] == "+" else dt + offset
+    except (ValueError, OverflowError) as exc:
         raise InvalidTimestamp(str(exc)) from None
+    return dt.isoformat() + "Z"
 
 
 def as_datetime(value: str) -> datetime:

@@ -5,12 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .metabase import AUTHORS, ORGANIZATIONS, SUBJECTS_PREFIX, Metabase, resolve
-from .model import LENIENT, STRICT, UmsRecord
+from .model import LENIENT, STRICT, UmsRecord, missing_fields
 
-#: fields every description should carry (the identification triple)
-REQUIRED_FIELDS = ("name", "format", "date")
-#: fields a good description should carry
-RECOMMENDED_FIELDS = ("language", "location", "creator")
+#: fields a good description should carry: key -> record field
+RECOMMENDED_FIELDS = {"language": "languages", "location": "locations", "creator": "creators"}
 
 
 @dataclass(frozen=True)
@@ -41,6 +39,11 @@ def creator_known(metabase: Metabase, creator: str) -> bool:
     return False
 
 
+def uncatalogued_creators(record: UmsRecord, metabase: Metabase) -> list[str]:
+    """The creators of *record* that no catalog entry names exactly."""
+    return [c for c in record.creators if not creator_known(metabase, c)]
+
+
 def validate_record(
     record: UmsRecord, metabase: Metabase, mode: str = STRICT
 ) -> ValidationReport:
@@ -56,34 +59,17 @@ def validate_record(
     violations: list[Violation] = []
 
     if mode == STRICT:
-        present = {
-            "name": record.name != "",
-            "format": bool(record.formats),
-            "date": record.date is not None,
-        }
-        for field in REQUIRED_FIELDS:
-            if not present[field]:
-                violations.append(
-                    Violation("MissingRequiredField", f"record has no {field}")
+        for key in missing_fields(record):
+            violations.append(Violation("MissingRequiredField", f"record has no {key}"))
+        for key in missing_fields(record, RECOMMENDED_FIELDS):
+            violations.append(Violation("MissingRecommendedField", f"record has no {key}"))
+        for creator in uncatalogued_creators(record, metabase):
+            violations.append(
+                Violation(
+                    "CreatorNotInCatalog",
+                    f"creator not in author/organization catalogs: {creator}",
                 )
-        recommended = {
-            "language": bool(record.languages),
-            "location": bool(record.locations),
-            "creator": bool(record.creators),
-        }
-        for field in RECOMMENDED_FIELDS:
-            if not recommended[field]:
-                violations.append(
-                    Violation("MissingRecommendedField", f"record has no {field}")
-                )
-        for creator in record.creators:
-            if not creator_known(metabase, creator):
-                violations.append(
-                    Violation(
-                        "CreatorNotInCatalog",
-                        f"creator not in author/organization catalogs: {creator}",
-                    )
-                )
+            )
 
     for binding in record.identifiers:
         if not metabase.is_registered_system(binding.system):

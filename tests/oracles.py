@@ -6,6 +6,7 @@ import the code paths they exist to check.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from datetime import datetime
 
@@ -229,3 +230,104 @@ def reconstruct_original_reference(final: tuple, contributions: list) -> tuple:
         if ok > best_ok:
             best_ok, best_seq = ok, fail_seq
     raise InconsistentReference(best_seq, "derived values do not match recorded events")
+
+
+_FORMAT_TAG_RE = re.compile(r"[a-z0-9]+")
+_DOC_TYPES = ("text", "image", "photo", "video", "sound")
+_IDENTIFIER_TARGET_RE = re.compile(r"identifier:([A-Z0-9]+)")
+
+
+def map_raw_to_ums_reference(raw, table, source=None):
+    """The mapping as it stood before it shaped values with the record's
+    own rules: one branch per target, each restating its rule, and list
+    targets deduplicated on the raw value, so values equal only after
+    NFC reach the record twice and it raises ``InvariantViolation``.
+    Builds the same ``(record, unmapped)`` wherever it returns."""
+    from ums.errors import InvalidTimestamp, InvariantViolation, MappingError
+    from ums.extractors import base_key
+    from ums.languages import is_language_code
+    from ums.model import IdentifierBinding, Subject, UmsRecord
+    from ums.timestamps import normalize
+
+    rules = tuple(r for r in table.rules if r.carrier == raw.carrier)
+    if not rules:
+        raise MappingError(f"mapping table has no rules for carrier {raw.carrier!r}")
+    singles, creators, formats, locations = {}, [], [], []
+    languages, tags, subjects, identifiers, unmapped = [], [], [], [], []
+    for key, value in raw.pairs:
+        rule = next((r for r in rules if r.key == base_key(key)), None)
+        if rule is None or value == "":
+            unmapped.append((key, value))
+            continue
+        target = rule.target
+        mapped = False
+        if target in ("name", "date", "type", "summary", "access"):
+            if target not in singles:
+                shaped = value
+                if target == "date":
+                    try:
+                        shaped = normalize(value)
+                    except InvalidTimestamp:
+                        shaped = None
+                elif target == "type":
+                    shaped = value if value in _DOC_TYPES else None
+                elif target == "access":
+                    shaped = value if value in ("0", "1", "2", "3") else None
+                if shaped is not None:
+                    singles[target] = shaped
+                    mapped = True
+        elif target == "creator":
+            if not creators:
+                creators.append(value)
+                mapped = True
+        elif target == "format":
+            if not formats:
+                if base_key(key) == "MIMEType" and "/" in value:
+                    candidate = value.rsplit("/", 1)[1].lower()
+                else:
+                    candidate = value.lower()
+                ok = _FORMAT_TAG_RE.fullmatch(candidate)
+                formats.append(candidate if ok else raw.carrier)
+                mapped = True
+        elif target in ("location", "tag", "subject"):
+            bucket = {"location": locations, "tag": tags, "subject": subjects}[target]
+            if value not in bucket:
+                bucket.append(value)
+            mapped = True
+        elif target == "language":
+            code = value.lower()
+            if is_language_code(code):
+                if code not in languages:
+                    languages.append(code)
+                mapped = True
+        else:
+            system = _IDENTIFIER_TARGET_RE.fullmatch(target).group(1)
+            try:
+                binding = IdentifierBinding(system=system, id=value)
+            except InvariantViolation:
+                binding = None
+            if binding is not None:
+                if binding not in identifiers:
+                    identifiers.append(binding)
+                mapped = True
+        if not mapped:
+            unmapped.append((key, value))
+    if not formats and raw.pairs:
+        formats.append(raw.carrier)
+    if source is not None and source not in locations:
+        locations.insert(0, source)
+    record = UmsRecord(
+        name=singles.get("name", ""),
+        formats=tuple(formats),
+        date=singles.get("date"),
+        doc_type=singles.get("type"),
+        summary=singles.get("summary"),
+        languages=tuple(languages),
+        locations=tuple(locations),
+        creators=tuple(creators),
+        identifiers=tuple(identifiers),
+        access=int(singles.get("access", "0")),
+        subjects=tuple(Subject(text=s) for s in subjects),
+        tags=tuple(tags),
+    )
+    return record, tuple(unmapped)

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import unicodedata
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fixtures
-from ums.errors import MappingError, RuleConflict
+import oracles
+from ums.errors import InvariantViolation, MappingError, RuleConflict
 from ums.extractors import (
     DEFAULT_MAPPING,
     MappingRule,
@@ -14,7 +18,7 @@ from ums.extractors import (
     load_mapping,
     map_raw_to_ums,
 )
-from ums.model import IdentifierBinding
+from ums.model import IdentifierBinding, Subject
 
 
 class TestOctologyMapping:
@@ -164,3 +168,107 @@ def test_format_value_with_trailing_line_feed_falls_back_to_carrier():
 def test_identifier_target_with_trailing_line_feed_rejected():
     with pytest.raises(MappingError):
         MappingTable(rules=(MappingRule("pdf", "Title", "identifier:DOI\n"),))
+
+
+ZOE_NFC = "Zo\u00eb"
+ZOE_NFD = unicodedata.normalize("NFD", ZOE_NFC)
+KEYWORDS_WHERE_TOPIC = load_mapping(
+    b"ums-mapping: 1\n"
+    b"pdf.Keywords -> tag\n"
+    b"pdf.Where -> location\n"
+    b"pdf.Topic -> subject\n"
+)
+
+
+def test_values_equal_after_nfc_are_mapped_once():
+    pairs = []
+    for key in ("Keywords", "Where", "Topic"):
+        pairs += [(key, ZOE_NFC), (f"{key} (1)", ZOE_NFD)]
+    raw = RawMetadata(carrier="pdf", pairs=tuple(pairs), byte_size=1)
+    record, unmapped = map_raw_to_ums(raw, KEYWORDS_WHERE_TOPIC)
+    assert record.tags == (ZOE_NFC,)
+    assert record.locations == (ZOE_NFC,)
+    assert record.subjects == (Subject(text=ZOE_NFC),)
+    assert unmapped == ()
+    with pytest.raises(InvariantViolation):  # the reference lets the duplicate through
+        oracles.map_raw_to_ums_reference(raw, KEYWORDS_WHERE_TOPIC)
+
+
+def test_source_equal_to_a_location_after_nfc_is_mapped_once():
+    raw = RawMetadata(carrier="pdf", pairs=(("Where", ZOE_NFC),), byte_size=1)
+    record, _ = map_raw_to_ums(raw, KEYWORDS_WHERE_TOPIC, source=ZOE_NFD)
+    assert record.locations == (ZOE_NFC,)
+
+
+#: a rule for every target, per carrier; "Keywords" maps twice and the
+#: first rule wins
+EVERY_TARGET = load_mapping(
+    "ums-mapping: 1\n".encode()
+    + "".join(
+        f"{carrier}.{key} -> {target}\n"
+        for carrier in ("pdf", "html")
+        for key, target in (
+            ("Title", "name"),
+            ("FileType", "format"),
+            ("MIMEType", "format"),
+            ("CreateDate", "date"),
+            ("Kind", "type"),
+            ("Abstract", "summary"),
+            ("Lang", "language"),
+            ("Where", "location"),
+            ("Author", "creator"),
+            ("DOI", "identifier:DOI"),
+            ("PMID", "identifier:PMID"),
+            ("Access", "access"),
+            ("Topic", "subject"),
+            ("Keywords", "tag"),
+            ("Keywords", "subject"),
+        )
+    ).encode()
+)
+_KEYS = ["Title", "FileType", "MIMEType", "CreateDate", "Kind", "Abstract", "Lang",
+         "Where", "Author", "DOI", "PMID", "Access", "Topic", "Keywords", "Producer"]
+_VALUES = [
+    "", " ", "x", ZOE_NFC, ZOE_NFD, "Caf\u00e9", "e\u0301", "\u212a", "a|b", "a\nb",
+    "pdf", "PDF", "pdf!", "application/pdf", "text/HTML", "a/b/c", "html\n",
+    "en", "EN", "zz", "deu", "\u212ao", "0", "3", "4", "-1", "text", "Text", "photo",
+    "2011-03-01", "2011-03-01T16:35:22Z", "D:20110301163522+01'00'", "D:20110301163522+01",
+    "D:2011", "2011:03:06 19:04:38+01:00", "2011-02-30", "D:0999", "0999:01:01 00:00:00Z",
+    "D:99991231230000-12'00'", "sometime", "10.1234/abc", "21383996",
+]
+_value = st.one_of(
+    st.sampled_from(_VALUES),
+    st.builds(
+        lambda v, form: unicodedata.normalize(form, v),
+        st.sampled_from(_VALUES),
+        st.sampled_from(["NFC", "NFD"]),
+    ),
+    st.text(max_size=6),
+)
+_pair = st.tuples(
+    st.builds(
+        lambda key, repeat: key if repeat == 0 else f"{key} ({repeat})",
+        st.sampled_from(_KEYS),
+        st.integers(0, 2),
+    ),
+    _value,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(["pdf", "html"]),
+    st.lists(_pair, max_size=12),
+    st.one_of(st.none(), _value),
+)
+def test_mapping_matches_the_reference_wherever_it_returns(carrier, pairs, source):
+    raw = RawMetadata(carrier=carrier, pairs=tuple(pairs), byte_size=1)
+    record, unmapped = map_raw_to_ums(raw, EVERY_TARGET, source=source)
+    # every pair is mapped or unmapped: the unmapped ones, in order
+    remaining = iter(raw.pairs)
+    assert all(pair in remaining for pair in unmapped)
+    try:
+        expected = oracles.map_raw_to_ums_reference(raw, EVERY_TARGET, source=source)
+    except InvariantViolation:
+        return  # a duplicate the reference let through; the mapping returned
+    assert (record, unmapped) == expected

@@ -197,6 +197,10 @@ GOOD_LINES = [
         (6, "language: en\nidentifier: doi|10.1/x"),
         (5, "date: 2011-03-01\ntype: book"),
         (4, "format: pdf\nformat: pdf"),
+        # an identifier or subject the model rejects
+        (6, "language: en\nidentifier: d!|x"),
+        (6, "language: en\nidentifier: DOI|"),
+        (6, "language: en\nsubject: a|"),
     ],
 )
 def test_bad_value_names_its_line(line_no, bad_line):
@@ -205,6 +209,14 @@ def test_bad_value_names_its_line(line_no, bad_line):
     with pytest.raises(SidecarSyntaxError) as excinfo:
         parse_record(("\n".join(lines) + "\n").encode())
     assert excinfo.value.line == line_no
+
+
+@pytest.mark.parametrize("bad_line", ["identifier: d!|x", "identifier: DOI|", "subject: a|"])
+def test_lenient_parsing_names_a_rejected_identifier_or_subject(bad_line):
+    lines = GOOD_LINES[:5] + [bad_line] + GOOD_LINES[5:]
+    with pytest.raises(SidecarSyntaxError) as excinfo:
+        parse_record(("\n".join(lines) + "\n").encode(), LENIENT)
+    assert excinfo.value.line == 6
 
 
 def test_escaped_line_feed_before_a_combining_mark_is_canonical():

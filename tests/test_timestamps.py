@@ -27,6 +27,20 @@ def test_pdf_date_strings():
     assert timestamps.normalize("D:20110301163522Z") == "2011-03-01T16:35:22Z"
     assert timestamps.normalize("D:20110301163522+01'00'") == "2011-03-01T15:35:22Z"
     assert timestamps.normalize("D:2011") == "2011-01-01T00:00:00Z"
+    assert timestamps.normalize("D:20110301163522+01") == "2011-03-01T15:35:22Z"
+
+
+def test_years_below_1000_keep_four_digits():
+    assert timestamps.normalize("D:0999") == "0999-01-01T00:00:00Z"
+    assert timestamps.normalize("0999:01:01 00:00:00Z") == "0999-01-01T00:00:00Z"
+
+
+@pytest.mark.parametrize(
+    "beyond", ["D:99991231230000-12'00'", "0001:01:01 00:00:00+01:00"]
+)
+def test_offset_beyond_the_calendar_is_rejected(beyond):
+    with pytest.raises(InvalidTimestamp):
+        timestamps.normalize(beyond)
 
 
 def test_iso_offset_is_converted():
