@@ -11,12 +11,12 @@ import os
 import stat
 import sys
 import tempfile
-from datetime import datetime, timezone
 from typing import Optional
 
 # Only what every command may need is imported here; the extractors,
 # lint, the metabase and validation load inside the handlers that use
 # them, so a command pays start-up time only for the modules it runs.
+from . import timestamps
 from .association import CRITERIA, build_index, group_by, related
 from .errors import UmsError
 from .model import CARRIER_HTML, CARRIER_PDF, CARRIER_SIDECAR, EVENT_KINDS, is_complete
@@ -200,9 +200,7 @@ def cmd_annotate(args) -> int:
         raise _Operational(
             f"history broken at seq {result.broken_at}: {result.detail}"
         )
-    timestamp = args.timestamp or datetime.now(timezone.utc).strftime(
-        "%Y-%m-%dT%H:%M:%SZ"
-    )
+    timestamp = args.timestamp or timestamps.now()
     updated = apply_event(record, args.event, args.payload, timestamp)
     _write_atomic(args.path, canonical_serialize(updated))
     print(f"{args.event} recorded as event {updated.history[-1].seq}")

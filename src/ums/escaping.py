@@ -68,13 +68,21 @@ def join_fields(fields: list[str]) -> str:
     return "|".join(escape(f) for f in fields)
 
 
-def decode_fields(value: str, expected: int, line: int, what: str) -> list[str]:
-    """Split, arity-check, and unescape a compound sidecar value."""
+def decode_fields(
+    value: str, arity: tuple[int, ...], line: int, what: str
+) -> list[str]:
+    """Split a sidecar value into fields, check their count against
+    *arity* (the allowed counts), and unescape them; a failure names
+    *line* and *what* the value is."""
     raw = split_fields(value)
-    if len(raw) != expected:
+    if len(raw) not in arity:
+        counts = " or ".join(map(str, arity))
+        plural = "" if arity == (1,) else "s"
         raise SidecarSyntaxError(
-            line, f"{what} needs {expected} fields, got {len(raw)}"
+            line, f"{what} needs {counts} field{plural}, got {len(raw)}"
         )
+    if "\\" not in value:
+        return raw
     try:
         return [unescape(f) for f in raw]
     except ValueError as exc:

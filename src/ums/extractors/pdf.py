@@ -12,7 +12,7 @@ import re
 from typing import Optional, Union
 
 from ..errors import NotPdf, NotSupported
-from ..timestamps import PDF_DATE_RE
+from ..timestamps import display
 from . import CARRIER_PDF, PairBuilder, RawMetadata
 
 _WHITESPACE = b"\x00\t\n\x0c\r "
@@ -21,9 +21,6 @@ _DELIMITERS = b"()<>[]{}/%"
 _HEADER_RE = re.compile(rb"^%PDF-(\d+\.\d+)")
 _STARTXREF_RE = re.compile(rb"startxref\s+(\d+)", re.S)
 _PAGE_TYPE_RE = re.compile(rb"/Type\s*/Page(?![a-zA-Z])")
-_ISO_DATE_RE = re.compile(
-    r"^(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})(Z|[+-]\d{2}:\d{2})?$"
-)
 
 #: Info dictionary keys renamed for display
 _INFO_KEY_NAMES = {"CreationDate": "CreateDate", "ModDate": "ModifyDate"}
@@ -246,30 +243,6 @@ def _decode_text(raw: bytes) -> str:
     return raw.decode("latin-1")
 
 
-def _pdf_date_to_display(value: str) -> Optional[str]:
-    """``D:YYYYMMDDhhmmss±hh'mm'`` -> ``YYYY:MM:DD hh:mm:ss±hh:mm``."""
-    m = PDF_DATE_RE.fullmatch(value)
-    if not m:
-        return None
-    y, mo, d, h, mi, s, tz = m.groups()
-    stamp = f"{y}:{mo or '01'}:{d or '01'} {h or '00'}:{mi or '00'}:{s or '00'}"
-    if tz == "Z":
-        stamp += "Z"
-    elif tz:
-        hours = tz[:3]
-        minutes = tz[4:6] if len(tz) > 3 else "00"
-        stamp += f"{hours}:{minutes or '00'}"
-    return stamp
-
-
-def _iso_date_to_display(value: str) -> Optional[str]:
-    m = _ISO_DATE_RE.match(value)
-    if not m:
-        return None
-    y, mo, d, h, mi, s, tz = m.groups()
-    return f"{y}:{mo}:{d} {h}:{mi}:{s}{tz or ''}"
-
-
 def _parse_xref_tables(data: bytes):
     """Follow the startxref/Prev chain; newest entries win.
 
@@ -356,15 +329,15 @@ def _extract_xmp(data: bytes, builder: PairBuilder) -> None:
         builder.add("CreatorTool", creator_tool)
     metadata_date = simple("xmp:MetadataDate")
     if metadata_date:
-        builder.add("MetadataDate", _iso_date_to_display(metadata_date) or metadata_date)
+        builder.add("MetadataDate", display(metadata_date) or metadata_date)
     document_id = simple("xmpMM:DocumentID")
     if document_id:
         builder.add("DocumentID", document_id)
     whens = re.findall(r'stEvt:when="([^"]*)"', xmp)
     whens += re.findall(r"<stEvt:when>(.*?)</stEvt:when>", xmp, re.S)
     if whens:
-        display = [(_iso_date_to_display(w.strip()) or w.strip()) for w in whens]
-        builder.add("HistoryWhen", ", ".join(display))
+        shown = [display(w.strip()) or w.strip() for w in whens]
+        builder.add("HistoryWhen", ", ".join(shown))
 
 
 def extract_pdf_info(data: bytes) -> RawMetadata:
@@ -405,8 +378,7 @@ def extract_pdf_info(data: bytes) -> RawMetadata:
                 text = str(value)
             else:
                 continue
-            display = _pdf_date_to_display(text)
-            builder.add(_INFO_KEY_NAMES.get(key, key), display or text)
+            builder.add(_INFO_KEY_NAMES.get(key, key), display(text) or text)
 
     catalog = _resolve(trailer.get("Root"), offsets, data, errors)
     page_count: Optional[int] = None

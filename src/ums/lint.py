@@ -10,15 +10,16 @@ an already-normalized description.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .errors import UnknownSystem
-from .extractors import RawMetadata, base_key
 from .identifiers import BUILTIN_SYSTEMS, validate_identifier
 # perfbench/spans.py wraps ums.lint.resolve, and a traced run fails if it is unbound
 from .metabase import Metabase, resolve  # noqa: F401
 from .model import UmsRecord, missing_fields
 from .validation import RECOMMENDED_FIELDS, uncatalogued_creators
+
+if TYPE_CHECKING:
+    from .extractors import RawMetadata
 
 ERROR = "error"
 WARNING = "warning"
@@ -44,14 +45,6 @@ def at_least_warning(findings: Iterable[LintFinding]) -> bool:
     return any(_SEVERITY_RANK[f.severity] >= _SEVERITY_RANK[WARNING] for f in findings)
 
 
-def _first_pair(raw: RawMetadata, wanted: str) -> Optional[tuple[str, str]]:
-    wanted = wanted.lower()
-    for key, value in raw.pairs:
-        if base_key(key).lower() == wanted:
-            return (key, value)
-    return None
-
-
 def _format_evidence(raw: RawMetadata) -> tuple[tuple[str, str], ...]:
     """Pairs that state the carrier format: format-bearing keys, or the
     carrier token inside the value."""
@@ -67,12 +60,11 @@ def _format_evidence(raw: RawMetadata) -> tuple[tuple[str, str], ...]:
     return tuple(hits)
 
 
-def lint_raw(
-    raw: RawMetadata,
-    systems: Sequence[str] = BUILTIN_SYSTEMS,
-    placeholders: Sequence[str] = (),
-) -> list[LintFinding]:
+def lint_raw(raw: RawMetadata, placeholders: Sequence[str] = ()) -> list[LintFinding]:
     """Diagnose raw carrier pairs; deterministic rule and evidence order."""
+    # imported here so that linting a sidecar loads no extractor
+    from .extractors import base_key
+
     findings: list[LintFinding] = []
 
     fmt = _format_evidence(raw)
@@ -86,8 +78,18 @@ def lint_raw(
             )
         )
 
-    author = _first_pair(raw, "Author")
-    creator = _first_pair(raw, "Creator")
+    # one pass: the first pair of each base key (case folded), and the
+    # pairs whose base key names an identifier system
+    first: dict[str, tuple[str, str]] = {}
+    identifiers: list[tuple[str, str, str]] = []
+    for key, value in raw.pairs:
+        base = base_key(key)
+        first.setdefault(base.lower(), (key, value))
+        token = base.upper()
+        if token in BUILTIN_SYSTEMS:
+            identifiers.append((token, key, value))
+
+    author, creator = first.get("author"), first.get("creator")
     if author is not None and creator is not None and author[1] != creator[1]:
         findings.append(
             LintFinding(
@@ -98,8 +100,7 @@ def lint_raw(
             )
         )
 
-    created = _first_pair(raw, "CreateDate")
-    modified = _first_pair(raw, "ModifyDate")
+    created, modified = first.get("createdate"), first.get("modifydate")
     if created is not None and modified is not None and created[1] == modified[1]:
         findings.append(
             LintFinding(
@@ -110,15 +111,8 @@ def lint_raw(
             )
         )
 
-    tokens = {s.upper() for s in systems}
-    for key, value in raw.pairs:
-        token = base_key(key).upper()
-        if token not in tokens:
-            continue
-        try:
-            check = validate_identifier(token, value, registered=tokens)
-        except UnknownSystem:  # pragma: no cover - tokens filtered above
-            continue
+    for token, key, value in identifiers:
+        check = validate_identifier(token, value)
         if not check.valid:
             findings.append(
                 LintFinding(

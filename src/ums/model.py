@@ -54,6 +54,10 @@ GENESIS_PREV = "0" * 16
 #: separator between who-parts inside a canonical name; never produced by
 #: escaping (a literal backslash-comma escapes to backslash-backslash-comma)
 _WHO_SEP = "\\,"
+#: one escaped who-part: plain text and escape pairs other than the
+#: marker; a backslash at the very end stays in the part, for unescape
+#: to reject
+_WHO_PART_RE = re.compile(r"(?:[^\\]+|\\[^,]|\\\Z)*")
 
 
 def nfc(value: str) -> str:
@@ -254,25 +258,19 @@ def make_systematic_name(
 
 
 def _split_who(segment: str) -> list[str]:
-    """Split an escaped who-segment on the backslash-comma marker."""
+    """Split an escaped who-segment on the backslash-comma marker; the
+    parts stay escaped."""
+    if "\\" not in segment:
+        return [segment]
     parts: list[str] = []
-    current: list[str] = []
-    i = 0
-    n = len(segment)
-    while i < n:
-        if segment[i] == "\\" and i + 1 < n:
-            pair = segment[i : i + 2]
-            if pair == _WHO_SEP:
-                parts.append("".join(current))
-                current = []
-            else:
-                current.append(pair)
-            i += 2
-        else:
-            current.append(segment[i])
-            i += 1
-    parts.append("".join(current))
-    return parts
+    match = _WHO_PART_RE.match
+    start = 0
+    while True:
+        end = match(segment, start).end()
+        parts.append(segment[start:end])
+        if end == len(segment):
+            return parts
+        start = end + len(_WHO_SEP)
 
 
 def parse_systematic_name(canonical: str) -> SystematicName:

@@ -15,7 +15,6 @@ from typing import Optional
 from . import timestamps
 from .errors import BrokenChain, InvariantViolation, MalformedPayload
 from .model import (
-    EVENT_KINDS,
     GENESIS_PREV,
     IdentifierBinding,
     ProvenanceEvent,
@@ -26,13 +25,23 @@ from .model import (
 )
 from .sidecar import serialize_event
 
-#: event kind -> record list it appends to
-DERIVED_FIELDS = {
-    "rename": "synonyms",
-    "reclassify": "identifiers",
-    "relocate": "locations",
-    "reformat": "formats",
-    "translate": "languages",
+
+def _binding(payload: str) -> IdentifierBinding:
+    """The identifier binding a ``SYSTEM|id`` payload names."""
+    system, sep, ident = payload.partition("|")
+    if not sep or not system or not ident:
+        raise InvariantViolation("reclassify payload must be SYSTEM|id")
+    return IdentifierBinding(system=system, id=ident)
+
+
+#: event kind -> the record list its payload appends to and the model's
+#: rule that turns the payload into the appended value
+_DERIVED = {
+    "rename": ("synonyms", nfc),
+    "reclassify": ("identifiers", _binding),
+    "relocate": ("locations", nfc),
+    "reformat": ("formats", format_tag),
+    "translate": ("languages", language_code),
 }
 
 
@@ -42,41 +51,22 @@ def event_digest(event: ProvenanceEvent) -> str:
     return hashlib.sha256(line.encode("utf-8")).hexdigest()[:16]
 
 
-def _normalize_payload(kind: str, payload: str) -> str:
-    """Canonicalize and shape-check a payload for its event kind."""
-    payload = nfc(payload)
+def _derived(kind: str, payload: str) -> tuple[Optional[str], object]:
+    """The record list an event of *kind* appends to and the value its
+    *payload* appends ((None, None) for create), or raise MalformedPayload."""
     if kind == "create":
         if payload != "":
             raise MalformedPayload("create carries no payload")
-        return payload
+        return None, None
+    if kind not in _DERIVED:
+        raise MalformedPayload(f"unknown event kind: {kind!r}")
     if payload == "":
         raise MalformedPayload(f"{kind} needs a payload")
-    if kind in ("rename", "relocate"):
-        return payload
-    try:  # the record's own rules for the value each kind appends
-        if kind == "reformat":
-            return format_tag(payload)
-        if kind == "translate":
-            return language_code(payload)
-        if kind == "reclassify":
-            system, sep, ident = payload.partition("|")
-            if not sep or not system or not ident:
-                raise MalformedPayload("reclassify payload must be SYSTEM|id")
-            binding = IdentifierBinding(system=system, id=ident)
-            return f"{binding.system}|{binding.id}"
+    field, rule = _DERIVED[kind]
+    try:
+        return field, rule(payload)
     except InvariantViolation as exc:
         raise MalformedPayload(str(exc)) from None
-    raise MalformedPayload(f"unknown event kind: {kind!r}")
-
-
-def _derived_value(kind: str, payload: str):
-    """The value a payload contributes to its derived list, if any."""
-    if kind == "reclassify":
-        system, _, ident = payload.partition("|")
-        return IdentifierBinding(system=system, id=ident)
-    if kind == "create":
-        return None
-    return payload
 
 
 def apply_event(
@@ -89,10 +79,12 @@ def apply_event(
     genesis create event inserted first.  Duplicate derived values are
     skipped, but the event is still recorded.
     """
-    if kind not in EVENT_KINDS:
-        raise MalformedPayload(f"unknown event kind: {kind!r}")
     timestamp = timestamps.normalize(timestamp)
-    payload = _normalize_payload(kind, payload)
+    field, value = _derived(kind, payload)
+    if isinstance(value, IdentifierBinding):
+        payload = f"{value.system}|{value.id}"
+    elif value is not None:
+        payload = value
 
     history = list(record.history)
     if kind == "create":
@@ -123,10 +115,8 @@ def apply_event(
     history.append(event)
 
     updates = {"history": tuple(history)}
-    field = DERIVED_FIELDS.get(kind)
     if field is not None:
         current = getattr(record, field)
-        value = _derived_value(kind, payload)
         if value not in current:
             updates[field] = current + (value,)
     return replace(record, **updates)
@@ -182,24 +172,29 @@ def _reconstruct_original(final: tuple, contributions: list) -> tuple:
 def _original_fields(record: UmsRecord) -> dict[str, tuple]:
     """Original value of every derived list, or raise _Inconsistent at the
     lowest seq that breaks any of them."""
-    events: dict[str, list] = {kind: [] for kind in DERIVED_FIELDS}
+    contributions: dict[str, list] = {field: [] for field, _ in _DERIVED.values()}
+    malformed: dict[str, _Inconsistent] = {}
     for event in record.history:
-        if event.kind in events:
-            events[event.kind].append(event)
+        if event.kind not in _DERIVED:
+            continue
+        field = _DERIVED[event.kind][0]
+        if field in malformed:
+            continue
+        try:
+            _, value = _derived(event.kind, event.payload)
+        except MalformedPayload as exc:
+            malformed[field] = _Inconsistent(event.seq, str(exc))
+            continue
+        contributions[field].append((event.seq, value))
     out: dict[str, tuple] = {}
     broken: list[_Inconsistent] = []
-    for kind, field in DERIVED_FIELDS.items():
-        final, contributions = getattr(record, field), []
+    for field, values in contributions.items():
         try:
-            for event in events[kind]:
-                try:
-                    payload = _normalize_payload(kind, event.payload)
-                except MalformedPayload as exc:
-                    # an earlier value missing from the list breaks first
-                    _reconstruct_original(final, contributions)
-                    raise _Inconsistent(event.seq, str(exc)) from None
-                contributions.append((event.seq, _derived_value(kind, payload)))
-            out[field] = _reconstruct_original(final, contributions)
+            # an earlier value missing from the list breaks before a
+            # malformed payload
+            out[field] = _reconstruct_original(getattr(record, field), values)
+            if field in malformed:
+                raise malformed[field]
         except _Inconsistent as exc:
             broken.append(exc)
     if broken:

@@ -9,7 +9,10 @@ Serialization is canonical: the same record always produces the same
 bytes, and ``parse_record(canonical_serialize(r)) == r``.
 
 The parser checks grammar: lines, key order, once-only keys, escapes,
-field counts and the digits of history seqs.  The model checks values:
+field counts and the digits of history seqs.  Every text, identifier,
+subject and history value is split, counted and unescaped by
+:func:`~ums.escaping.decode_fields` alone; the token keys (format,
+language, date, type, access) are passed on raw.  The model checks values:
 :class:`UmsRecord`, :class:`ProvenanceEvent`, :class:`IdentifierBinding`,
 :class:`Subject` and :func:`access_level` hold the only format, language,
 date, type, access, identifier, subject, duplicate and history-order
@@ -26,6 +29,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import fields
+from typing import Iterator
 
 from .errors import (
     DuplicateSingletonKey,
@@ -34,7 +38,8 @@ from .errors import (
     SidecarSyntaxError,
     UnknownKey,
 )
-from .escaping import decode_fields, escape, join_fields, split_fields, unescape
+# perfbench/spans.py wraps split_fields and unescape here too, so they stay bound
+from .escaping import decode_fields, escape, join_fields, split_fields, unescape  # noqa: F401
 from .model import (
     ACCESS_PUBLIC,
     LENIENT,
@@ -101,34 +106,15 @@ def canonical_serialize(record: UmsRecord) -> bytes:
 
 
 def _parse_history_value(value: str, line_no: int) -> ProvenanceEvent:
-    raw = split_fields(value)
-    if len(raw) != 5:
-        raise SidecarSyntaxError(
-            line_no, f"history needs 5 fields, got {len(raw)}"
-        )
-    seq_s, ts, kind, payload_esc, prev = raw
-    if not _SEQ_RE.fullmatch(seq_s):
-        raise SidecarSyntaxError(line_no, f"bad history seq: {seq_s!r}")
-    try:
-        payload = unescape(payload_esc)
-    except ValueError as exc:
-        raise SidecarSyntaxError(line_no, f"history payload: {exc}") from None
+    seq, ts, kind, payload, prev = decode_fields(value, (5,), line_no, "history")
+    if not _SEQ_RE.fullmatch(seq):
+        raise SidecarSyntaxError(line_no, f"bad history seq: {seq!r}")
     try:
         return ProvenanceEvent(
-            seq=int(seq_s), timestamp=ts, kind=kind, payload=payload, prev=prev
+            seq=int(seq), timestamp=ts, kind=kind, payload=payload, prev=prev
         )
     except (InvariantViolation, InvalidTimestamp) as exc:
         raise SidecarSyntaxError(line_no, f"history: {exc}") from None
-
-
-def _subject_fields(value: str, line_no: int) -> list[str]:
-    raw = split_fields(value)
-    if len(raw) not in (1, 2):
-        raise SidecarSyntaxError(line_no, "subject needs 1 or 2 fields")
-    try:
-        return [unescape(f) for f in raw]
-    except ValueError as exc:
-        raise SidecarSyntaxError(line_no, f"subject: {exc}") from None
 
 
 def parse_record_with_warnings(
@@ -183,49 +169,42 @@ def parse_record_with_warnings(
             )
         warnings += [f"missing required key: {k}" for k in missing]
 
-    def decode_one(key: str, value: str, line_no: int) -> str:
-        raw = split_fields(value)
-        if len(raw) != 1:
-            raise SidecarSyntaxError(line_no, f"{key}: unescaped '|' in value")
-        try:
-            return unescape(raw[0])
-        except ValueError as exc:
-            raise SidecarSyntaxError(line_no, f"{key}: {exc}") from None
+    def decode(key: str, arity: tuple[int, ...]) -> Iterator[list[str]]:
+        return (decode_fields(value, arity, line_no, key) for value, line_no in values[key])
 
-    def decode_simple(key: str) -> list[str]:
-        return [decode_one(key, value, line_no) for value, line_no in values[key]]
+    def texts(key: str) -> list[str]:
+        return [decode_fields(value, (1,), line_no, key)[0] for value, line_no in values[key]]
 
     def tokens(key: str) -> tuple[str, ...]:
         return tuple(value for value, _ in values[key])
 
     # a singleton key holds at most one value
-    (name,) = decode_simple("name") or [""]
-    (summary,) = decode_simple("summary") or [None]
+    (name,) = texts("name") or [""]
+    (summary,) = texts("summary") or [None]
     (date,) = tokens("date") or [None]
     (doc_type,) = tokens("type") or [None]
 
     formats, languages = tokens("format"), tokens("language")
     try:
         (access,) = checked("access", tokens("access"), access_level) or (ACCESS_PUBLIC,)
-        pairs = [decode_fields(v, 2, n, "identifier") for v, n in values["identifier"]]
+        pairs = list(decode("identifier", (2,)))
         identifiers = checked("identifiers", pairs, lambda p: IdentifierBinding(*p))
-        subject_fields = (_subject_fields(v, n) for v, n in values["subject"])
-        subjects = checked("subjects", subject_fields, lambda p: Subject(*p))
+        subjects = checked("subjects", decode("subject", (1, 2)), lambda p: Subject(*p))
         history = [_parse_history_value(v, n) for v, n in values["history"]]
         record = UmsRecord(
             name=name,
-            synonyms=tuple(decode_simple("synonym")),
+            synonyms=texts("synonym"),
             formats=formats,
             date=date,
             doc_type=doc_type,
             summary=summary,
             languages=languages,
-            locations=tuple(decode_simple("location")),
-            creators=tuple(decode_simple("creator")),
+            locations=texts("location"),
+            creators=texts("creator"),
             identifiers=identifiers,
             access=access,
             subjects=subjects,
-            tags=tuple(decode_simple("tag")),
+            tags=texts("tag"),
             history=tuple(history),
         )
     except (InvariantViolation, InvalidTimestamp) as exc:

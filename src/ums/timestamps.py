@@ -6,15 +6,20 @@ ASCII digits only and nothing before or after (a trailing line feed
 makes a value non-canonical).  The check is one regex match plus integer
 calendar arithmetic: years 0001-9999, month lengths with Gregorian leap
 years, hours below 24, minutes and seconds below 60 (no leap second),
-which is what ``datetime`` accepts.  Carrier formats (exiftool-style
-``2011:03:01 16:35:22Z``, PDF ``D:`` strings, ISO 8601 with offsets)
-are accepted as inputs and converted.
+which is what ``datetime`` accepts.
+
+Carrier dates are read here and nowhere else.  :func:`display` turns a
+PDF ``D:`` string or an ISO 8601 instant into the exiftool display form
+``YYYY:MM:DD hh:mm:ss[Z|+hh:mm]`` that extractors report, and
+:func:`normalize` reads that form (and what :func:`display` accepts)
+into canonical form.  A carrier instant without a zone is UTC.
 """
 
 from __future__ import annotations
 
 import re
 from datetime import datetime, timedelta, timezone
+from typing import Optional
 
 from .errors import InvalidTimestamp
 
@@ -25,15 +30,18 @@ _CANONICAL_RE = re.compile(
     r"(?:T([01]\d|2[0-3]):([0-5]\d):([0-5]\d)Z)?",
     re.ASCII,
 )
+#: the display form extractors report; :func:`normalize` reads only this
+#: form and the canonical ones
 _DISPLAY_RE = re.compile(
-    r"(\d{4}):(\d{2}):(\d{2}) (\d{2}):(\d{2}):(\d{2})(Z|[+-]\d{2}:\d{2})", re.ASCII
+    r"(\d{4}):(\d{2}):(\d{2}) (\d{2}):(\d{2}):(\d{2})(Z|[+-]\d{2}:\d{2})?", re.ASCII
 )
-_ISO_OFFSET_RE = re.compile(
-    r"(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})(Z|[+-]\d{2}:\d{2})", re.ASCII
+#: ISO 8601 instants, zone optional
+_ISO_RE = re.compile(
+    r"(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})(Z|[+-]\d{2}:\d{2})?", re.ASCII
 )
 #: PDF date strings: each field after the year optional, and an offset
 #: of ``Z``, ``+hh``, ``+hh'mm`` or ``+hh'mm'``
-PDF_DATE_RE = re.compile(
+_PDF_DATE_RE = re.compile(
     r"D:(\d{4})(\d{2})?(\d{2})?(\d{2})?(\d{2})?(\d{2})?"
     r"(Z|[+-]\d{2}(?:'\d{2}'?)?)?",
     re.ASCII,
@@ -70,36 +78,55 @@ def ensure_canonical(value: str) -> str:
     return value
 
 
+def display(value: str) -> Optional[str]:
+    """The display form ``YYYY:MM:DD hh:mm:ss[Z|+hh:mm]`` of a PDF ``D:``
+    date or an ISO 8601 instant, or None for any other value.
+
+    Fields are copied, not checked (an absent PDF field reads as its
+    lowest value), so :func:`normalize` reads the display form exactly
+    as it reads *value*.
+    """
+    m = _PDF_DATE_RE.fullmatch(value) or _ISO_RE.fullmatch(value)
+    if m is None:
+        return None
+    y, mo, d, h, mi, s, tz = m.groups()
+    if tz and tz != "Z":
+        # hours, then the minutes after a ":" or "'", if any
+        tz = f"{tz[:3]}:{tz[4:6] or '00'}"
+    day = f"{y}:{mo or '01'}:{d or '01'}"
+    return f"{day} {h or '00'}:{mi or '00'}:{s or '00'}{tz or ''}"
+
+
 def normalize(value: str) -> str:
     """Convert any accepted timestamp shape to canonical form.
 
-    Accepted inputs: canonical forms, extractor display form
-    ``YYYY:MM:DD hh:mm:ss(Z|±hh:mm)``, ISO 8601 with offset, and PDF
-    ``D:YYYYMMDDhhmmss(Z|±hh|±hh'mm')`` strings.  Raises InvalidTimestamp
-    for anything else, and for an instant outside years 1-9999 UTC.
+    Accepted inputs, after stripping surrounding whitespace: canonical
+    forms, the display form ``YYYY:MM:DD hh:mm:ss[Z|+hh:mm]``, and what
+    :func:`display` turns into it.  No zone means UTC.  Raises
+    InvalidTimestamp for anything else, and for an instant outside years
+    1-9999 UTC.
     """
     value = value.strip()
     if is_canonical(value):
         return value
-    m = (
-        _DISPLAY_RE.fullmatch(value)
-        or _ISO_OFFSET_RE.fullmatch(value)
-        or PDF_DATE_RE.fullmatch(value)
-    )
+    m = _DISPLAY_RE.fullmatch(display(value) or value)
     if m is None:
         raise InvalidTimestamp(f"unrecognized timestamp: {value!r}")
     y, mo, d, h, mi, s, tz = m.groups()
     try:
-        dt = datetime(
-            int(y), int(mo or 1), int(d or 1), int(h or 0), int(mi or 0), int(s or 0)
-        )
+        dt = datetime(int(y), int(mo), int(d), int(h), int(mi), int(s))
         if tz and tz != "Z":
-            # hours, then the minutes after a ":" or "'", if any
-            offset = timedelta(hours=int(tz[1:3]), minutes=int(tz[4:6] or 0))
+            offset = timedelta(hours=int(tz[1:3]), minutes=int(tz[4:6]))
             dt = dt - offset if tz[0] == "+" else dt + offset
     except (ValueError, OverflowError) as exc:
         raise InvalidTimestamp(str(exc)) from None
     return dt.isoformat() + "Z"
+
+
+def now() -> str:
+    """The current instant in canonical form."""
+    instant = datetime.now(timezone.utc).replace(microsecond=0, tzinfo=None)
+    return instant.isoformat() + "Z"
 
 
 def as_datetime(value: str) -> datetime:

@@ -4,10 +4,12 @@ import stat
 import subprocess
 import sys
 import unicodedata
+from datetime import datetime, timezone
 
 import pytest
 
 import fixtures
+from ums import timestamps
 from ums.cli import main
 from ums.metabase import (
     AUTHORS,
@@ -59,6 +61,18 @@ class TestExtract:
         record = parse_record(out.encode("utf-8"))
         assert record.name == "octology"
         assert record.creators == ("Max Madman",)
+
+    def test_pdf_date_without_a_zone_is_read_as_utc(self, tmp_path, capsys):
+        objects = [
+            b"<< /Type /Catalog /Pages 2 0 R >>",
+            b"<< /Type /Pages /Kids [4 0 R] /Count 1 >>",
+            b"<< /CreationDate (D:20110301163522) /Title (zoneless) >>",
+            fixtures._page(2),
+        ]
+        path = tmp_path / "zoneless.pdf"
+        path.write_bytes(fixtures._pdf(objects, root=1, info=3))
+        assert main(["extract", str(path)]) == 0
+        assert "\ndate: 2011-03-01T16:35:22Z\n" in capsys.readouterr().out
 
     def test_nonexistent_path_exits_2(self, tmp_path, capsys):
         assert main(["extract", str(tmp_path / "missing.pdf")]) == 2
@@ -159,6 +173,13 @@ class TestAnnotate:
         assert b"synonym: Octology\n" in data
         record = parse_record(data)
         assert [e.kind for e in record.history] == ["create", "rename"]
+
+    def test_default_timestamp_is_the_current_instant(self, tmp_path):
+        path = write_sidecar(tmp_path / "doc.ums", full_record())
+        before = datetime.now(timezone.utc).replace(microsecond=0)
+        assert main(["annotate", str(path), "--event", "rename", "--payload", "Octology"]) == 0
+        event = parse_record(path.read_bytes()).history[-1]
+        assert before <= timestamps.as_datetime(event.timestamp) <= datetime.now(timezone.utc)
 
     def test_annotating_twice_keeps_one_synonym_two_events(self, tmp_path):
         path = write_sidecar(tmp_path / "doc.ums", full_record())

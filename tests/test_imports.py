@@ -25,6 +25,19 @@ def test_cli_import_loads_no_extractor_lint_or_metabase():
     assert [m for m in loaded if m.startswith(HEAVY)] == []
 
 
+def test_linting_a_sidecar_loads_no_extractor(tmp_path):
+    sidecar = tmp_path / "doc.ums"
+    sidecar.write_bytes(b"ums: 1\nname: x\nformat: pdf\ndate: 2011-03-01\n")
+    loaded = _loaded_after(
+        "import contextlib, io\nfrom ums import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['lint', {str(sidecar)!r}]) == 1"
+    )
+    assert "ums.lint" in loaded
+    assert [m for m in loaded if m.startswith("ums.extractors")] == []
+    assert "html.parser" not in loaded
+
+
 def test_package_import_loads_no_submodule():
     loaded = _loaded_after("import ums")
     assert [m for m in loaded if m.startswith("ums.")] == []

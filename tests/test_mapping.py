@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import fixtures
 import oracles
-from ums.errors import InvariantViolation, MappingError, RuleConflict
+from ums.errors import InvariantViolation, MappingError, NotPdf, NotSupported, RuleConflict
 from ums.extractors import (
     DEFAULT_MAPPING,
     MappingRule,
@@ -18,7 +18,9 @@ from ums.extractors import (
     load_mapping,
     map_raw_to_ums,
 )
-from ums.model import IdentifierBinding, Subject
+from ums.lint import lint_raw
+from ums.model import IdentifierBinding, Subject, is_complete
+from ums.sidecar import canonical_serialize, parse_record
 
 
 class TestOctologyMapping:
@@ -272,3 +274,52 @@ def test_mapping_matches_the_reference_wherever_it_returns(carrier, pairs, sourc
     except InvariantViolation:
         return  # a duplicate the reference let through; the mapping returned
     assert (record, unmapped) == expected
+
+
+#: every carrier fixture, with the extractor that reads its carrier
+_CARRIERS = [
+    (fixtures.octology_pdf(), extract_pdf_info),
+    (fixtures.minimal_pdf(), extract_pdf_info),
+    (fixtures.preprint_pdf(3), extract_pdf_info),
+    (fixtures.encrypted_pdf(), extract_pdf_info),
+    (fixtures.xref_stream_pdf(), extract_pdf_info),
+    (fixtures.pubmed_html(), extract_html_meta),
+    (fixtures.bare_html(), extract_html_meta),
+]
+#: bytes worth inserting: delimiters, escapes, date and tag starts
+_INSERTS = st.one_of(
+    st.binary(min_size=1, max_size=8),
+    st.sampled_from(
+        [b"(", b")", b"[", b"<<", b">>", b"\\", b"/", b"D:2011", b"+01'", b"T", b"<meta ", b"\xff"]
+    ),
+)
+
+
+@st.composite
+def _mutated_carrier(draw):
+    data, extract = draw(st.sampled_from(_CARRIERS))
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        change = draw(st.sampled_from(["flip", "insert", "truncate"]))
+        if change == "flip" and at < len(data):
+            data[at] ^= draw(st.integers(1, 255))
+        elif change == "insert":
+            data[at:at] = draw(_INSERTS)
+        elif change == "truncate":
+            del data[at:]
+    return bytes(data), extract
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_carrier())
+def test_hostile_carriers_raise_only_not_pdf_or_not_supported(carrier):
+    data, extract = carrier
+    try:
+        raw = extract(data)
+    except (NotPdf, NotSupported):
+        return
+    record, _ = map_raw_to_ums(raw)
+    lint_raw(raw)
+    if is_complete(record):
+        assert parse_record(canonical_serialize(record)) == record

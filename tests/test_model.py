@@ -15,6 +15,13 @@ from ums.model import (
     parse_systematic_name,
 )
 
+#: who-parts: any text, or text made of the characters the canonical form
+#: escapes and splits on
+WHO_PART = st.one_of(
+    st.text(min_size=1, max_size=6),
+    st.text(alphabet=["\\", ",", "|", "\n", "n", "a"], min_size=1, max_size=6),
+)
+
 
 class TestSystematicName:
     def test_bare_given_name_is_rejected_in_strict_scope(self):
@@ -69,8 +76,8 @@ class TestSystematicName:
         assert parse_systematic_name(name.canonical) == name
 
     @given(
-        st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=3),
-        st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=3),
+        st.lists(WHO_PART, min_size=1, max_size=3),
+        st.lists(WHO_PART, min_size=1, max_size=3),
     )
     def test_canonical_injective_over_distinct_tuples(self, who_a, who_b):
         a = SystematicName(kind="other", who=tuple(who_a))
@@ -79,6 +86,8 @@ class TestSystematicName:
             assert a.canonical != b.canonical
         else:
             assert a.canonical == b.canonical
+        assert parse_systematic_name(a.canonical) == a
+        assert parse_systematic_name(b.canonical) == b
 
 
 class TestRecordInvariants:

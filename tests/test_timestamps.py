@@ -17,6 +17,8 @@ def test_canonical_forms_pass_through():
 
 def test_display_form_is_converted():
     assert timestamps.normalize("2011:03:01 16:35:22Z") == "2011-03-01T16:35:22Z"
+    # a carrier instant without a zone is UTC
+    assert timestamps.normalize("2011:03:01 16:35:22") == "2011-03-01T16:35:22Z"
 
 
 def test_display_form_with_offset_moves_to_utc():
@@ -28,6 +30,7 @@ def test_pdf_date_strings():
     assert timestamps.normalize("D:20110301163522+01'00'") == "2011-03-01T15:35:22Z"
     assert timestamps.normalize("D:2011") == "2011-01-01T00:00:00Z"
     assert timestamps.normalize("D:20110301163522+01") == "2011-03-01T15:35:22Z"
+    assert timestamps.normalize("D:20110301163522") == "2011-03-01T16:35:22Z"
 
 
 def test_years_below_1000_keep_four_digits():
@@ -45,6 +48,7 @@ def test_offset_beyond_the_calendar_is_rejected(beyond):
 
 def test_iso_offset_is_converted():
     assert timestamps.normalize("2011-03-06T19:04:38+01:00") == "2011-03-06T18:04:38Z"
+    assert timestamps.normalize("2011-03-06T19:04:38") == "2011-03-06T19:04:38Z"
 
 
 @pytest.mark.parametrize(
@@ -123,3 +127,64 @@ def test_canonical_check_matches_strptime_reference(value):
     else:
         with pytest.raises(InvalidTimestamp):
             timestamps.as_datetime(value)
+
+
+_HOURS = st.integers(0, 99).map("{:02d}".format)
+_SIGN = st.sampled_from("+-")
+_PDF_ZONE = st.one_of(
+    st.just(""),
+    st.just("Z"),
+    st.builds("{}{}".format, _SIGN, _HOURS),
+    st.builds("{}{}'{}'".format, _SIGN, _HOURS, _HOURS),
+    st.builds("{}{}'{}".format, _SIGN, _HOURS, _HOURS),
+)
+_PDF_DATE = st.builds(
+    lambda y, fields, zone: f"D:{y}{''.join(fields)}{zone}",
+    _YEARS,
+    st.integers(0, 5).flatmap(lambda n: st.lists(_TWO, min_size=n, max_size=n)),
+    _PDF_ZONE,
+)
+_ISO_INSTANT = st.builds(
+    "{}-{}-{}T{}:{}:{}{}".format,
+    _YEARS,
+    _TWO,
+    _TWO,
+    _TWO,
+    _TWO,
+    _TWO,
+    st.one_of(st.sampled_from(["", "Z"]), st.builds("{}{}:{}".format, _SIGN, _HOURS, _HOURS)),
+)
+
+
+def _normalized(value):
+    try:
+        return timestamps.normalize(value)
+    except InvalidTimestamp:
+        return InvalidTimestamp
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(_PDF_DATE, _ISO_INSTANT, st.text(max_size=25)))
+def test_display_form_normalizes_as_its_source(value):
+    shown = timestamps.display(value)
+    if shown is not None:
+        assert _normalized(shown) == _normalized(value)
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        ("D:20110301163522", "2011:03:01 16:35:22"),
+        ("D:20110301163522Z", "2011:03:01 16:35:22Z"),
+        ("D:20110301163522+01", "2011:03:01 16:35:22+01:00"),
+        ("D:20110301163522-05'30'", "2011:03:01 16:35:22-05:30"),
+        ("D:2011", "2011:01:01 00:00:00"),
+        ("2011-03-01T16:35:22", "2011:03:01 16:35:22"),
+        ("2011-03-06T19:04:38+01:00", "2011:03:06 19:04:38+01:00"),
+        ("2011-03-01", None),
+        ("2011-03-01T16:35:22Z\n", None),
+        ("yesterday", None),
+    ],
+)
+def test_display_form_of_carrier_dates(value, shown):
+    assert timestamps.display(value) == shown
