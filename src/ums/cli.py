@@ -62,12 +62,13 @@ def _detect_carrier(path: str, data: bytes, flag: str) -> str:
 
 
 def _extract_raw(path: str, data: bytes, carrier: str):
-    from .extractors import extract_html_meta, extract_pdf_info
+    # looked up on the package, so only the extractor that runs is loaded
+    from . import extractors
 
     if carrier == CARRIER_PDF:
-        return extract_pdf_info(data)
+        return extractors.extract_pdf_info(data)
     if carrier == CARRIER_HTML:
-        return extract_html_meta(data)
+        return extractors.extract_html_meta(data)
     raise _Operational(f"extraction does not support carrier {carrier!r}")
 
 

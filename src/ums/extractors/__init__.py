@@ -1,8 +1,13 @@
-"""Raw metadata extraction from real document carriers."""
+"""Raw metadata extraction from real document carriers.
+
+Each extractor is imported on first use (PEP 562), so extracting a PDF
+loads no HTML parser.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
 
 from ..model import CARRIER_HTML, CARRIER_PDF, CARRIER_SIDECAR
 
@@ -47,7 +52,9 @@ class PairBuilder:
         return tuple(self._pairs)
 
 
-from .html import extract_html_meta  # noqa: E402
+# The mapping loads with the package: every extract maps, and its target
+# table binds timestamps.normalize at import, before perfbench/spans.py
+# wraps that name for a traced run (a later import would keep the wrapper).
 from .mapping import (  # noqa: E402
     DEFAULT_MAPPING,
     MappingRule,
@@ -55,7 +62,10 @@ from .mapping import (  # noqa: E402
     load_mapping,
     map_raw_to_ums,
 )
-from .pdf import extract_pdf_info  # noqa: E402
+
+#: extractor submodule -> the public names it defines
+_SOURCES = {"html": "extract_html_meta", "pdf": "extract_pdf_info"}
+_HOME = {name: module for module, names in _SOURCES.items() for name in names.split()}
 
 __all__ = [
     "CARRIER_HTML",
@@ -72,3 +82,12 @@ __all__ = [
     "load_mapping",
     "map_raw_to_ums",
 ]
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -136,6 +136,10 @@ def lint_raw(raw: RawMetadata, placeholders: Sequence[str] = ()) -> list[LintFin
                     )
                 )
 
+    # what best-effort extraction had to skip, so a partial read is seen
+    for error in raw.errors:
+        findings.append(LintFinding(code="EXTRACT_PARTIAL", severity=INFO, message=error))
+
     return findings
 
 

@@ -8,7 +8,6 @@ so edits to recorded history surface on verification.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -47,6 +46,8 @@ _DERIVED = {
 
 def event_digest(event: ProvenanceEvent) -> str:
     """16 hex chars of SHA-256 over the event's serialized line."""
+    import hashlib  # here, so that group and related never load it
+
     line = serialize_event(event)
     return hashlib.sha256(line.encode("utf-8")).hexdigest()[:16]
 

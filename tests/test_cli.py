@@ -109,6 +109,26 @@ class TestLint:
         main(["lint", str(path)])
         assert "TIMESTAMP_COINCIDENT" not in capsys.readouterr().out
 
+    def test_extraction_errors_are_listed(self, tmp_path, capsys):
+        deep = b"[" * 5000 + b"]" * 5000
+        objects = [
+            b"<< /Type /Catalog /Pages 2 0 R >>",
+            b"<< /Type /Pages /Kids [] /Count 0 >>",
+            b"<< /Title (x) /Keywords " + deep + b" >>",
+        ]
+        path = tmp_path / "deep.pdf"
+        path.write_bytes(fixtures._pdf(objects, root=1, info=3))
+        assert main(["lint", str(path)]) == 1  # FORMAT_REDUNDANCY, as before
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("EXTRACT_PARTIAL\tinfo\toffset ")
+        assert lines[-1].endswith(": arrays or dictionaries nested over 100 deep")
+        assert main(["lint", str(path), "--json"]) == 1
+        import json
+
+        last = json.loads(capsys.readouterr().out)[-1]
+        assert (last["code"], last["severity"]) == ("EXTRACT_PARTIAL", "info")
+        assert last["message"] == lines[-1].split("\t")[2]
+
     def test_json_export_mirrors_findings(self, octology_path, capsys):
         import json
 

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import fixtures
 import ums
 
 #: modules only extract, lint and validate need
@@ -36,6 +37,30 @@ def test_linting_a_sidecar_loads_no_extractor(tmp_path):
     assert "ums.lint" in loaded
     assert [m for m in loaded if m.startswith("ums.extractors")] == []
     assert "html.parser" not in loaded
+
+
+def test_extracting_a_pdf_loads_no_html_parser(tmp_path):
+    pdf = tmp_path / "doc.pdf"
+    pdf.write_bytes(fixtures.octology_pdf())
+    loaded = _loaded_after(
+        "import contextlib, io\nfrom ums import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['extract', {str(pdf)!r}]) == 0"
+    )
+    assert "ums.extractors.pdf" in loaded
+    assert "ums.extractors.html" not in loaded
+    assert "html.parser" not in loaded
+
+
+def test_grouping_loads_no_hashlib(tmp_path):
+    (tmp_path / "doc.ums").write_bytes(b"ums: 1\nname: x\nformat: pdf\ndate: 2011-03-01\n")
+    loaded = _loaded_after(
+        "import contextlib, io\nfrom ums import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['group', {str(tmp_path)!r}, '--by', 'format']) == 0"
+    )
+    assert "ums.association" in loaded
+    assert "hashlib" not in loaded
 
 
 def test_package_import_loads_no_submodule():

@@ -102,6 +102,21 @@ class TestLintRawGeneral:
         hits = lint_raw(raw, placeholders=("TODO",))
         assert [f.code for f in hits] == ["PLACEHOLDER_VALUE"]
 
+    def test_extraction_errors_are_info_findings_after_the_others(self):
+        raw = RawMetadata(
+            carrier="pdf",
+            pairs=(("Author", "TODO"),),
+            byte_size=1,
+            errors=("offset 9: unterminated string", "offset unknown for object 4"),
+        )
+        findings = lint_raw(raw, placeholders=("TODO",))
+        assert [(f.code, f.severity, f.message) for f in findings] == [
+            ("PLACEHOLDER_VALUE", "warning", "Author holds the placeholder 'TODO'"),
+            ("EXTRACT_PARTIAL", "info", "offset 9: unterminated string"),
+            ("EXTRACT_PARTIAL", "info", "offset unknown for object 4"),
+        ]
+        assert not at_least_warning(findings[1:])
+
     def test_deterministic_order(self, octology_pdf):
         raw = extract_pdf_info(octology_pdf)
         assert [f.code for f in lint_raw(raw)] == [f.code for f in lint_raw(raw)]
