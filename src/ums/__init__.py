@@ -29,7 +29,7 @@ _SOURCES = {
     "lint": "LintFinding lint_raw lint_record",
     "metabase": (
         "Catalog CatalogEntry Metabase Resolution empty_metabase load_catalog"
-        " load_metabase register resolve"
+        " load_metabase resolve"
     ),
     "model": (
         "IdentifierBinding ProvenanceEvent Subject SystematicName UmsRecord"

@@ -7,12 +7,11 @@ scored with Jaccard similarity over tag sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import UnknownRecord
-from .model import UmsRecord
+from .model import UmsRecord, Value
 
 CRITERIA = ("alphabet", "date", "theme", "project", "format", "location")
 
@@ -61,8 +60,7 @@ def group_by(
     return out
 
 
-@dataclass(frozen=True)
-class CorpusIndex:
+class CorpusIndex(Value):
     """Immutable snapshot of a record corpus plus its tag postings.
 
     ``tag_index`` maps each tag to the records carrying it, in corpus
@@ -70,9 +68,17 @@ class CorpusIndex:
     so membership of an indexed record never scans the corpus.
     """
 
-    records: tuple[UmsRecord, ...]
-    tag_index: dict[str, tuple[UmsRecord, ...]]
-    untagged: dict[int, UmsRecord]
+    __slots__ = _fields = ("records", "tag_index", "untagged")
+
+    def __init__(
+        self,
+        records: tuple[UmsRecord, ...],
+        tag_index: dict[str, tuple[UmsRecord, ...]],
+        untagged: dict[int, UmsRecord],
+    ):
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "tag_index", tag_index)
+        object.__setattr__(self, "untagged", untagged)
 
 
 def build_index(records: Sequence[UmsRecord]) -> CorpusIndex:

@@ -27,6 +27,7 @@ from .sidecar import (
     STRICT,
     canonical_serialize,
     parse_record,
+    parse_record_with_warnings,
 )
 
 EXIT_CLEAN = 0
@@ -152,13 +153,15 @@ def cmd_extract(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    from .lint import at_least_warning, lint_raw, lint_record
+    from .lint import INFO, LintFinding, at_least_warning, lint_raw, lint_record
 
     data = _read(args.path)
     carrier = _detect_carrier(args.path, data, args.carrier)
     if carrier == CARRIER_SIDECAR:
-        record = parse_record(data, LENIENT)
+        record, warnings = parse_record_with_warnings(data, LENIENT)
         findings = lint_record(record, _load_metabase(args))
+        # what the lenient parse let through, so a non-canonical sidecar is seen
+        findings += [LintFinding("PARSE_WARNING", INFO, warning) for warning in warnings]
     else:
         raw = _extract_raw(args.path, data, carrier)
         findings = lint_raw(raw)

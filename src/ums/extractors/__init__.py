@@ -6,14 +6,12 @@ loads no HTML parser.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import import_module
 
-from ..model import CARRIER_HTML, CARRIER_PDF, CARRIER_SIDECAR
+from ..model import CARRIER_HTML, CARRIER_PDF, CARRIER_SIDECAR, Value
 
 
-@dataclass(frozen=True)
-class RawMetadata:
+class RawMetadata(Value):
     """Carrier-level key-value pairs exactly as found in a file.
 
     Keys are preserved verbatim; a repeated key gets an exiftool-style
@@ -21,10 +19,19 @@ class RawMetadata:
     what best-effort extraction had to skip.
     """
 
-    carrier: str
-    pairs: tuple[tuple[str, str], ...]
-    byte_size: int
-    errors: tuple[str, ...] = ()
+    __slots__ = _fields = ("carrier", "pairs", "byte_size", "errors")
+
+    def __init__(
+        self,
+        carrier: str,
+        pairs: tuple[tuple[str, str], ...],
+        byte_size: int,
+        errors: tuple[str, ...] = (),
+    ):
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "byte_size", byte_size)
+        object.__setattr__(self, "errors", errors)
 
 
 def base_key(key: str) -> str:

@@ -10,7 +10,6 @@ itself applies to its field.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
@@ -21,6 +20,7 @@ from ..model import (
     IdentifierBinding,
     Subject,
     UmsRecord,
+    Value,
     access_level,
     document_type,
     format_tag,
@@ -54,11 +54,13 @@ _IDENTIFIER_TARGET_RE = re.compile(r"identifier:([A-Z0-9]+)")
 _RULE_LINE_RE = re.compile(r"(\w+)\.(.+?) -> (\S+)")
 
 
-@dataclass(frozen=True)
-class MappingRule:
-    carrier: str
-    key: str
-    target: str
+class MappingRule(Value):
+    __slots__ = _fields = ("carrier", "key", "target")
+
+    def __init__(self, carrier: str, key: str, target: str):
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "target", target)
 
 
 def _format_rule(key: str, carrier: str):
@@ -88,16 +90,16 @@ def _slot(rule: MappingRule) -> tuple:
     return "identifiers", partial(IdentifierBinding, system), False
 
 
-@dataclass(frozen=True)
-class MappingTable:
-    rules: tuple[MappingRule, ...]
-    #: carrier -> raw key -> the slot of the first rule for that key
-    _slots: dict = field(init=False, repr=False, compare=False)
+class MappingTable(Value):
+    _fields = ("rules",)
+    #: ``_slots``: carrier -> raw key -> the slot of the first rule for that key
+    __slots__ = _fields + ("_slots",)
 
-    def __post_init__(self):
+    def __init__(self, rules: tuple[MappingRule, ...]):
+        object.__setattr__(self, "rules", rules)
         filled: set[tuple[str, str]] = set()
         slots: dict[str, dict[str, tuple]] = {}
-        for rule in self.rules:
+        for rule in rules:
             if rule.target not in _TARGETS and not _IDENTIFIER_TARGET_RE.fullmatch(
                 rule.target
             ):

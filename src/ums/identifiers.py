@@ -8,10 +8,10 @@ resolvability stays unknown.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import UnknownSystem
+from .model import Value
 
 #: classification systems registered out of the box
 BUILTIN_SYSTEMS = ("DOI", "ISBN", "PMID", "URN", "PURL", "ISNI", "OCLC")
@@ -22,12 +22,14 @@ _URN_NID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9-]{0,31}")
 _URN_NSS_CHAR_RE = re.compile(r"[A-Za-z0-9()+,\-.:=@;$_!*']")
 
 
-@dataclass(frozen=True)
-class IdentifierCheck:
+class IdentifierCheck(Value):
     """valid, or invalid with a reason token."""
 
-    valid: bool
-    reason: Optional[str] = None
+    __slots__ = _fields = ("valid", "reason")
+
+    def __init__(self, valid: bool, reason: Optional[str] = None):
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "reason", reason)
 
     @staticmethod
     def ok() -> "IdentifierCheck":

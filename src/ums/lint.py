@@ -9,13 +9,12 @@ an already-normalized description.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .identifiers import BUILTIN_SYSTEMS, validate_identifier
 # perfbench/spans.py wraps ums.lint.resolve, and a traced run fails if it is unbound
 from .metabase import Metabase, resolve  # noqa: F401
-from .model import UmsRecord, missing_fields
+from .model import UmsRecord, Value, missing_fields
 from .validation import RECOMMENDED_FIELDS, uncatalogued_creators
 
 if TYPE_CHECKING:
@@ -30,12 +29,16 @@ _SEVERITY_RANK = {INFO: 0, WARNING: 1, ERROR: 2}
 DEFAULT_RELATED_SYSTEMS = (("OCLC", "PMID"),)
 
 
-@dataclass(frozen=True)
-class LintFinding:
-    code: str
-    severity: str
-    message: str
-    evidence: tuple[tuple[str, str], ...] = ()
+class LintFinding(Value):
+    __slots__ = _fields = ("code", "severity", "message", "evidence")
+
+    def __init__(
+        self, code: str, severity: str, message: str, evidence: tuple[tuple[str, str], ...] = ()
+    ):
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "severity", severity)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "evidence", evidence)
 
     def line(self) -> str:
         return f"{self.code}\t{self.severity}\t{self.message}"

@@ -2,19 +2,18 @@
 
 A metabase is the set of named catalogs (authors, organizations,
 systems, subjects:<source>) that record fields are validated against.
-Catalogs are immutable snapshots: registration returns a new catalog,
+Catalogs are immutable snapshots: a grown catalog is a new catalog,
 so concurrent readers never need coordination.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from .errors import DuplicateEntry, SidecarSyntaxError
 from .identifiers import BUILTIN_SYSTEMS
-from .model import SystematicName, nfc, parse_systematic_name
+from .model import SystematicName, Value, nfc, parse_systematic_name
 
 CATALOG_HEADER = "metabase-catalog: 1"
 
@@ -24,36 +23,36 @@ SYSTEMS = "systems"
 SUBJECTS_PREFIX = "subjects:"
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Value):
     """One admissible designation plus the synonyms that resolve to it."""
 
-    systematic_name: SystematicName
-    synonyms: tuple[str, ...] = ()
-    #: the systematic name's canonical string, escaped once at construction
-    canonical: str = field(init=False, repr=False, compare=False)
+    _fields = ("systematic_name", "synonyms")
+    #: ``canonical``: the systematic name's canonical string, escaped once
+    __slots__ = _fields + ("canonical",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "synonyms", tuple(nfc(s) for s in self.synonyms))
-        object.__setattr__(self, "canonical", self.systematic_name.canonical)
+    def __init__(self, systematic_name: SystematicName, synonyms: tuple[str, ...] = ()):
+        object.__setattr__(self, "systematic_name", systematic_name)
+        object.__setattr__(self, "synonyms", tuple(nfc(s) for s in synonyms))
+        object.__setattr__(self, "canonical", systematic_name.canonical)
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(Value):
     """A named, grow-only set of catalog entries."""
 
-    name: str
-    entries: tuple[CatalogEntry, ...] = ()
-    #: canonical string or synonym -> its entry; the two sets are disjoint
-    exact: dict[str, CatalogEntry] = field(init=False, repr=False, compare=False)
+    _fields = ("name", "entries")
+    #: ``exact``: canonical string or synonym -> its entry; the two sets
+    #: are disjoint
+    __slots__ = _fields + ("exact",)
 
-    def __post_init__(self):
+    def __init__(self, name: str, entries: tuple[CatalogEntry, ...] = ()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "entries", entries)
         exact: dict[str, CatalogEntry] = {}
-        for entry in self.entries:
+        for entry in entries:
             if entry.canonical in exact:
                 raise DuplicateEntry(f"duplicate canonical string: {entry.canonical}")
             exact[entry.canonical] = entry
-        for entry in self.entries:
+        for entry in entries:
             for syn in entry.synonyms:
                 owner = exact.get(syn)
                 if owner is not None:
@@ -69,18 +68,20 @@ class Catalog:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(Value):
     """Outcome of a resolve query: exact hit, candidates, or nothing."""
 
-    kind: str  # "exact" | "candidates" | "none"
-    entry: Optional[CatalogEntry] = None
-    candidates: tuple[CatalogEntry, ...] = ()
+    __slots__ = _fields = ("kind", "entry", "candidates")
 
-
-def register(catalog: Catalog, entry: CatalogEntry) -> Catalog:
-    """Return a catalog extended by *entry*; catalogs only grow."""
-    return replace(catalog, entries=catalog.entries + (entry,))
+    def __init__(
+        self,
+        kind: str,  # "exact" | "candidates" | "none"
+        entry: Optional[CatalogEntry] = None,
+        candidates: tuple[CatalogEntry, ...] = (),
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "entry", entry)
+        object.__setattr__(self, "candidates", candidates)
 
 
 def resolve(catalog: Catalog, query: str) -> Resolution:
@@ -165,19 +166,18 @@ def builtin_systems_catalog() -> Catalog:
     return Catalog(name=SYSTEMS, entries=entries)
 
 
-@dataclass(frozen=True)
-class Metabase:
+class Metabase(Value):
     """All catalogs known to one validation run, keyed by catalog name."""
 
-    catalogs: tuple[Catalog, ...] = ()
-    #: catalog name -> the first catalog of that name
-    by_name: dict[str, Catalog] = field(init=False, repr=False, compare=False)
-    #: upper-cased tokens of the systems catalog
-    system_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    _fields = ("catalogs",)
+    #: ``by_name``: catalog name -> the first catalog of that name;
+    #: ``system_set``: upper-cased tokens of the systems catalog
+    __slots__ = _fields + ("by_name", "system_set")
 
-    def __post_init__(self):
+    def __init__(self, catalogs: tuple[Catalog, ...] = ()):
+        object.__setattr__(self, "catalogs", catalogs)
         by_name: dict[str, Catalog] = {}
-        for catalog in self.catalogs:
+        for catalog in catalogs:
             by_name.setdefault(catalog.name, catalog)
         object.__setattr__(self, "by_name", by_name)
         object.__setattr__(

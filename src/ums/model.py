@@ -5,13 +5,26 @@ NFC, so equality and duplicate detection are plain string comparisons.
 Records are allowed to be *partial* (empty name, no formats, no date);
 completeness is enforced where it matters, at serialization and in
 validation reports.
+
+The toolkit's value objects (here and in the other modules) derive from
+:class:`Value`.  Each class lists its constructor parameters in
+``_fields`` and has ``__slots__`` and a hand-written ``__init__``; the
+classes of this module check and normalize in a ``__post_init__`` that
+``__init__`` calls once.  :class:`Value` supplies the rest from
+``_fields``: attributes cannot be set or deleted (``AttributeError``),
+``==`` holds only between two values of one class with equal fields,
+the hash covers the same fields, the repr is
+``Class(field=value, ...)``, and copying and pickling build a new value
+through ``__init__``.  :func:`replace` does the same with some fields
+changed, so every check runs again.  A slot outside ``_fields`` holds
+something derived from the fields and takes part in none of this.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from . import timestamps
@@ -62,6 +75,53 @@ _WHO_PART_RE = re.compile(r"(?:[^\\]+|\\[^,]|\\\Z)*")
 
 def nfc(value: str) -> str:
     return unicodedata.normalize("NFC", value)
+
+
+#: sets a slot of a value object past its frozen ``__setattr__``; the
+#: other modules, whose constructors run less often, spell it out
+_set = object.__setattr__
+
+
+class Value:
+    """Base of the toolkit's immutable value objects; see the module
+    docstring for what it supplies."""
+
+    __slots__ = ()
+    #: the constructor's parameters, in order
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+
+def replace(value: Value, /, **changes) -> Value:
+    """A copy of *value* with *changes*, built, and so checked, by its class."""
+    for name in value._fields:
+        if name not in changes:
+            changes[name] = getattr(value, name)
+    return value.__class__(**changes)
 
 
 def _rejected(message: str, field: str, index: int = 0) -> InvariantViolation:
@@ -130,12 +190,15 @@ def access_level(token: str) -> int:
         raise InvariantViolation(f"bad access level: {token!r}") from None
 
 
-@dataclass(frozen=True)
-class IdentifierBinding:
+class IdentifierBinding(Value):
     """One (classification system, identity number) pair."""
 
-    system: str
-    id: str
+    __slots__ = _fields = ("system", "id")
+
+    def __init__(self, system: str, id: str):
+        _set(self, "system", system)
+        _set(self, "id", id)
+        self.__post_init__()
 
     def __post_init__(self):
         system = nfc(self.system).upper()
@@ -143,36 +206,52 @@ class IdentifierBinding:
             raise InvariantViolation(f"bad system token: {self.system!r}")
         if self.id == "":
             raise InvariantViolation("empty identity number")
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "id", nfc(self.id))
+        _set(self, "system", system)
+        _set(self, "id", nfc(self.id))
+
+    # written out, as they run faster than Value's: verify_history hashes
+    # and compares the binding of every reclassify event
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.system, self.id) == (other.system, other.id)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.system, self.id))
 
 
-@dataclass(frozen=True)
-class Subject:
+class Subject(Value):
     """A depicted object or phenomenon, optionally tied to a source catalog."""
 
-    text: str
-    source: Optional[str] = None
+    __slots__ = _fields = ("text", "source")
+
+    def __init__(self, text: str, source: Optional[str] = None):
+        _set(self, "text", text)
+        _set(self, "source", source)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.text == "":
             raise InvariantViolation("empty subject")
-        object.__setattr__(self, "text", nfc(self.text))
+        _set(self, "text", nfc(self.text))
         if self.source is not None:
             if self.source == "":
                 raise InvariantViolation("empty subject source")
-            object.__setattr__(self, "source", nfc(self.source))
+            _set(self, "source", nfc(self.source))
 
 
-@dataclass(frozen=True)
-class ProvenanceEvent:
+class ProvenanceEvent(Value):
     """One append-only history entry."""
 
-    seq: int
-    timestamp: str
-    kind: str
-    payload: str
-    prev: str
+    __slots__ = _fields = ("seq", "timestamp", "kind", "payload", "prev")
+
+    def __init__(self, seq: int, timestamp: str, kind: str, payload: str, prev: str):
+        _set(self, "seq", seq)
+        _set(self, "timestamp", timestamp)
+        _set(self, "kind", kind)
+        _set(self, "payload", payload)
+        _set(self, "prev", prev)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.seq < 0:
@@ -182,18 +261,28 @@ class ProvenanceEvent:
         timestamps.ensure_canonical(self.timestamp)
         if not _PREV_RE.fullmatch(self.prev):
             raise InvariantViolation(f"bad prev digest: {self.prev!r}")
-        object.__setattr__(self, "payload", nfc(self.payload))
+        _set(self, "payload", nfc(self.payload))
 
 
-@dataclass(frozen=True)
-class SystematicName:
+class SystematicName(Value):
     """Who/what + where + when designation with a deterministic string form."""
 
-    kind: str
-    who: tuple[str, ...]
-    when: Optional[str] = None
-    where: Optional[str] = None
-    qualifier: Optional[str] = None
+    __slots__ = _fields = ("kind", "who", "when", "where", "qualifier")
+
+    def __init__(
+        self,
+        kind: str,
+        who: tuple[str, ...],
+        when: Optional[str] = None,
+        where: Optional[str] = None,
+        qualifier: Optional[str] = None,
+    ):
+        _set(self, "kind", kind)
+        _set(self, "who", who)
+        _set(self, "when", when)
+        _set(self, "where", where)
+        _set(self, "qualifier", qualifier)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind not in NAME_KINDS:
@@ -201,13 +290,13 @@ class SystematicName:
         who = checked(None, self.who, what="name component")
         if not who:
             raise MissingComponent("a systematic name needs a who-part")
-        object.__setattr__(self, "who", who)
+        _set(self, "who", who)
         if self.when is not None:
-            object.__setattr__(self, "when", timestamps.ensure_canonical(self.when))
+            _set(self, "when", timestamps.ensure_canonical(self.when))
         if self.where is not None:
             if self.where == "":
                 raise InvariantViolation("empty where component")
-            object.__setattr__(self, "where", nfc(self.where))
+            _set(self, "where", nfc(self.where))
         if self.qualifier is not None and not _QUALIFIER_RE.fullmatch(self.qualifier):
             raise InvariantViolation(f"qualifier must be digits: {self.qualifier!r}")
 
@@ -291,8 +380,7 @@ def parse_systematic_name(canonical: str) -> SystematicName:
     return SystematicName(kind=kind, who=who, when=when, where=where, qualifier=qualifier)
 
 
-@dataclass(frozen=True)
-class UmsRecord:
+class UmsRecord(Value):
     """Canonical metadata description of one document.
 
     ``name`` is the primary systematic name and never changes once set;
@@ -301,28 +389,51 @@ class UmsRecord:
     is *partial*: storable in memory, not serializable.
     """
 
-    name: str = ""
-    synonyms: tuple[str, ...] = ()
-    formats: tuple[str, ...] = ()
-    date: Optional[str] = None
-    doc_type: Optional[str] = None
-    summary: Optional[str] = None
-    languages: tuple[str, ...] = ()
-    locations: tuple[str, ...] = ()
-    creators: tuple[str, ...] = ()
-    identifiers: tuple[IdentifierBinding, ...] = ()
-    access: int = ACCESS_PUBLIC
-    subjects: tuple[Subject, ...] = ()
-    tags: tuple[str, ...] = ()
-    history: tuple[ProvenanceEvent, ...] = ()
+    #: in sidecar key order
+    __slots__ = _fields = (
+        "name", "synonyms", "formats", "date", "doc_type", "summary", "languages",
+        "locations", "creators", "identifiers", "access", "subjects", "tags", "history",
+    )
+
+    def __init__(
+        self,
+        name: str = "",
+        synonyms: tuple[str, ...] = (),
+        formats: tuple[str, ...] = (),
+        date: Optional[str] = None,
+        doc_type: Optional[str] = None,
+        summary: Optional[str] = None,
+        languages: tuple[str, ...] = (),
+        locations: tuple[str, ...] = (),
+        creators: tuple[str, ...] = (),
+        identifiers: tuple[IdentifierBinding, ...] = (),
+        access: int = ACCESS_PUBLIC,
+        subjects: tuple[Subject, ...] = (),
+        tags: tuple[str, ...] = (),
+        history: tuple[ProvenanceEvent, ...] = (),
+    ):
+        _set(self, "name", name)
+        _set(self, "synonyms", synonyms)
+        _set(self, "formats", formats)
+        _set(self, "date", date)
+        _set(self, "doc_type", doc_type)
+        _set(self, "summary", summary)
+        _set(self, "languages", languages)
+        _set(self, "locations", locations)
+        _set(self, "creators", creators)
+        _set(self, "identifiers", identifiers)
+        _set(self, "access", access)
+        _set(self, "subjects", subjects)
+        _set(self, "tags", tags)
+        _set(self, "history", history)
+        self.__post_init__()
 
     def __post_init__(self):
         """Normalize and check every value; a rejection names the record
         field and the index of the entry it rejects."""
-        set_ = object.__setattr__
-        set_(self, "name", nfc(self.name))
-        set_(self, "synonyms", checked("synonyms", self.synonyms, what="synonym"))
-        set_(self, "formats", checked("formats", self.formats, format_tag, "format"))
+        _set(self, "name", nfc(self.name))
+        _set(self, "synonyms", checked("synonyms", self.synonyms, what="synonym"))
+        _set(self, "formats", checked("formats", self.formats, format_tag, "format"))
         if self.date is not None:
             try:
                 timestamps.ensure_canonical(self.date)
@@ -334,15 +445,15 @@ class UmsRecord:
         if self.summary is not None:
             if self.summary == "":
                 raise _rejected("empty summary", "summary")
-            set_(self, "summary", nfc(self.summary))
+            _set(self, "summary", nfc(self.summary))
         languages = checked("languages", self.languages, language_code, "language")
-        set_(self, "languages", languages)
-        set_(self, "locations", checked("locations", self.locations, what="location"))
-        set_(self, "creators", checked("creators", self.creators, what="creator"))
-        set_(self, "identifiers", tuple(self.identifiers))
-        set_(self, "subjects", tuple(self.subjects))
-        set_(self, "tags", checked("tags", self.tags, what="tag"))
-        set_(self, "history", tuple(self.history))
+        _set(self, "languages", languages)
+        _set(self, "locations", checked("locations", self.locations, what="location"))
+        _set(self, "creators", checked("creators", self.creators, what="creator"))
+        _set(self, "identifiers", tuple(self.identifiers))
+        _set(self, "subjects", tuple(self.subjects))
+        _set(self, "tags", checked("tags", self.tags, what="tag"))
+        _set(self, "history", tuple(self.history))
 
         if not isinstance(self.access, int) or not 0 <= self.access <= 3:
             raise _rejected(f"access level out of range: {self.access!r}", "access")

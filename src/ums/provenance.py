@@ -8,7 +8,6 @@ so edits to recorded history surface on verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import timestamps
@@ -18,9 +17,11 @@ from .model import (
     IdentifierBinding,
     ProvenanceEvent,
     UmsRecord,
+    Value,
     format_tag,
     language_code,
     nfc,
+    replace,
 )
 from .sidecar import serialize_event
 
@@ -123,14 +124,18 @@ def apply_event(
     return replace(record, **updates)
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(Value):
     """Outcome of a history verification."""
 
-    ok: bool
-    chain_length: int
-    broken_at: Optional[int] = None
-    detail: str = ""
+    __slots__ = _fields = ("ok", "chain_length", "broken_at", "detail")
+
+    def __init__(
+        self, ok: bool, chain_length: int, broken_at: Optional[int] = None, detail: str = ""
+    ):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "chain_length", chain_length)
+        object.__setattr__(self, "broken_at", broken_at)
+        object.__setattr__(self, "detail", detail)
 
 
 class _Inconsistent(Exception):

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import fields
 from typing import Iterator
 
 from .errors import (
@@ -90,7 +89,7 @@ _CANONICAL = {
 _KEY_ORDER = tuple(_CANONICAL)
 _KEY_POS = {key: pos for pos, key in enumerate(_KEY_ORDER)}
 #: record fields are declared in sidecar key order
-_KEY_OF_FIELD = dict(zip((f.name for f in fields(UmsRecord)), _KEY_ORDER))
+_KEY_OF_FIELD = dict(zip(UmsRecord.__slots__, _KEY_ORDER))
 _LINE_STARTS = [(f"\n{key}: ", canonical) for key, canonical in _CANONICAL.items()]
 _SEQ_RE = re.compile(r"0|[1-9]\d*", re.ASCII)
 

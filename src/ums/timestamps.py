@@ -86,7 +86,8 @@ def display(value: str) -> Optional[str]:
     lowest value), so :func:`normalize` reads the display form exactly
     as it reads *value*.
     """
-    m = _PDF_DATE_RE.fullmatch(value) or _ISO_RE.fullmatch(value)
+    pattern = _PDF_DATE_RE if value.startswith("D:") else _ISO_RE
+    m = pattern.fullmatch(value)
     if m is None:
         return None
     y, mo, d, h, mi, s, tz = m.groups()

@@ -2,27 +2,29 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .metabase import AUTHORS, ORGANIZATIONS, SUBJECTS_PREFIX, Metabase, resolve
-from .model import LENIENT, STRICT, UmsRecord, missing_fields
+from .model import LENIENT, STRICT, UmsRecord, Value, missing_fields
 
 #: fields a good description should carry: key -> record field
 RECOMMENDED_FIELDS = {"language": "languages", "location": "locations", "creator": "creators"}
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    message: str
+class Violation(Value):
+    __slots__ = _fields = ("code", "message")
+
+    def __init__(self, code: str, message: str):
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "message", message)
 
     def __str__(self) -> str:
         return f"{self.code}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...] = ()
+class ValidationReport(Value):
+    __slots__ = _fields = ("violations",)
+
+    def __init__(self, violations: tuple[Violation, ...] = ()):
+        object.__setattr__(self, "violations", violations)
 
     @property
     def ok(self) -> bool:

@@ -1,6 +1,25 @@
-"""Carrier fixtures built from scratch so every byte is accounted for."""
+"""Carrier fixtures built from scratch so every byte is accounted for,
+and the byte mutations hostile-input properties apply to input files."""
 
 from __future__ import annotations
+
+from hypothesis import strategies as st
+
+
+def mutated(draw, data: bytes, inserts: st.SearchStrategy[bytes]) -> bytes:
+    """*data* after one to four byte flips, insertions drawn from
+    *inserts* and truncations; *draw* is a hypothesis composite's."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        change = draw(st.sampled_from(["flip", "insert", "truncate"]))
+        if change == "flip" and at < len(data):
+            data[at] ^= draw(st.integers(1, 255))
+        elif change == "insert":
+            data[at:at] = draw(inserts)
+        elif change == "truncate":
+            del data[at:]
+    return bytes(data)
 
 
 def _pdf(objects: list[bytes], root: int, info: int | None, version: str = "1.4") -> bytes:

@@ -170,6 +170,29 @@ def canonical_timestamp_reference(value: str) -> bool:
     return True
 
 
+_ISO_REFERENCE_RE = re.compile(
+    r"(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})(Z|[+-]\d{2}:\d{2})?", re.ASCII
+)
+_PDF_DATE_REFERENCE_RE = re.compile(
+    r"D:(\d{4})(\d{2})?(\d{2})?(\d{2})?(\d{2})?(\d{2})?"
+    r"(Z|[+-]\d{2}(?:'\d{2}'?)?)?",
+    re.ASCII,
+)
+
+
+def display_reference(value: str) -> Optional[str]:
+    """The display form of a carrier date: try the PDF pattern, then the
+    ISO one, whatever the value starts with."""
+    m = _PDF_DATE_REFERENCE_RE.fullmatch(value) or _ISO_REFERENCE_RE.fullmatch(value)
+    if m is None:
+        return None
+    y, mo, d, h, mi, s, tz = m.groups()
+    if tz and tz != "Z":
+        tz = f"{tz[:3]}:{tz[4:6] or '00'}"
+    day = f"{y}:{mo or '01'}:{d or '01'}"
+    return f"{day} {h or '00'}:{mi or '00'}:{s or '00'}{tz or ''}"
+
+
 def resolve_reference(catalog, query: str):
     """Scan every entry in order for an exact canonical or synonym hit;
     otherwise collect who-part matches sorted by canonical string.

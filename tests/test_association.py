@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import random
 
 import pytest
@@ -11,7 +10,7 @@ import oracles
 import recgen
 from ums.association import CRITERIA, build_index, group_by, related
 from ums.errors import UnknownRecord
-from ums.model import UmsRecord
+from ums.model import UmsRecord, replace
 
 
 def rec(name, *, tags=(), formats=("pdf",), date="2011-01-01", locations=()):
@@ -122,7 +121,7 @@ class TestRelated:
             elif roll < 0.3:
                 records.append(records[-1])  # the same object again
             elif roll < 0.4:
-                records.append(dataclasses.replace(records[-1], tags=()))
+                records.append(replace(records[-1], tags=()))
         rng.shuffle(records)
         index = build_index(records)
         for record in records:

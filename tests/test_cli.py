@@ -129,6 +129,34 @@ class TestLint:
         assert (last["code"], last["severity"]) == ("EXTRACT_PARTIAL", "info")
         assert last["message"] == lines[-1].split("\t")[2]
 
+    def test_parse_warnings_are_listed(self, tmp_path, capsys):
+        """A sidecar rewritten as NFD, which strict commands reject, lints
+        with one PARSE_WARNING info finding per lenient-parse warning, after
+        the other findings; info findings leave the exit code at 0."""
+        import json
+
+        record = full_record(name="Zoë", subjects=(), tags=("Ångström",))
+        text = canonical_serialize(record).decode()
+        path = tmp_path / "doc.ums"
+        path.write_bytes(unicodedata.normalize("NFD", text).encode())
+        assert main(["history", str(path), "--verify"]) == 2
+        assert "line 2: name is not canonical, expected 'Zoë'" in capsys.readouterr().err
+        warnings = [
+            "line 2: name is not canonical, expected 'Zoë'",
+            "line 8: tag is not canonical, expected 'Ångström'",
+        ]
+        assert main(["lint", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "EMPTY_SUBJECTS\tinfo\trecord lists no depicted objects or phenomena",
+            *(f"PARSE_WARNING\tinfo\t{w}" for w in warnings),
+        ]
+        assert main(["lint", str(path), "--json"]) == 0
+        findings = json.loads(capsys.readouterr().out)
+        assert findings[1:] == [
+            {"code": "PARSE_WARNING", "severity": "info", "message": w, "evidence": []}
+            for w in warnings
+        ]
+
     def test_json_export_mirrors_findings(self, octology_path, capsys):
         import json
 

@@ -77,3 +77,35 @@ def test_every_public_name_resolves():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         ums.no_such_name  # noqa: B018
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["extract", "{pdf}"], 0),
+        # the default table maps no HTML date, so this one exits 2 once
+        # extraction and mapping have run
+        (["extract", "{html}"], 2),
+        (["lint", "{pdf}"], 1),
+        (["lint", "{sidecar}"], 1),
+        (["validate", "{sidecar}"], 0),
+        (["annotate", "{sidecar}", "--event", "rename", "--payload", "y"], 0),
+        (["history", "{sidecar}", "--verify"], 0),
+        (["group", "{dir}", "--by", "format"], 0),
+        (["related", "{dir}", "x"], 0),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_no_command_loads_dataclasses_or_inspect(tmp_path, argv, code):
+    paths = {"pdf": tmp_path / "doc.pdf", "html": tmp_path / "doc.html", "sidecar": tmp_path / "doc.ums"}
+    paths["pdf"].write_bytes(fixtures.octology_pdf())
+    paths["html"].write_bytes(fixtures.pubmed_html())
+    paths["sidecar"].write_bytes(b"ums: 1\nname: x\nformat: pdf\ndate: 2011-03-01\n")
+    argv = [arg.format(dir=tmp_path, **paths) for arg in argv]
+    loaded = _loaded_after(
+        "import contextlib, io\nfrom ums import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == {code}"
+    )
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded

@@ -7,7 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 import fixtures
 import oracles
-from ums.errors import InvariantViolation, MappingError, NotPdf, NotSupported, RuleConflict
+from ums.errors import (
+    InvariantViolation,
+    MappingError,
+    NotPdf,
+    NotSupported,
+    RuleConflict,
+    UmsError,
+)
 from ums.extractors import (
     DEFAULT_MAPPING,
     MappingRule,
@@ -298,17 +305,7 @@ _INSERTS = st.one_of(
 @st.composite
 def _mutated_carrier(draw):
     data, extract = draw(st.sampled_from(_CARRIERS))
-    data = bytearray(data)
-    for _ in range(draw(st.integers(1, 4))):
-        at = draw(st.integers(0, len(data)))
-        change = draw(st.sampled_from(["flip", "insert", "truncate"]))
-        if change == "flip" and at < len(data):
-            data[at] ^= draw(st.integers(1, 255))
-        elif change == "insert":
-            data[at:at] = draw(_INSERTS)
-        elif change == "truncate":
-            del data[at:]
-    return bytes(data), extract
+    return fixtures.mutated(draw, data, _INSERTS), extract
 
 
 @settings(max_examples=300, deadline=None)
@@ -323,3 +320,35 @@ def test_hostile_carriers_raise_only_not_pdf_or_not_supported(carrier):
     lint_raw(raw)
     if is_complete(record):
         assert parse_record(canonical_serialize(record)) == record
+
+
+_MAPPING_FILE = (
+    b"ums-mapping: 1\n"
+    b"pdf.Title -> name\n"
+    b"pdf.Author -> creator\n"
+    b"html.dc.date -> date\n"
+    b"html.citation_doi -> identifier:DOI\n"
+    b"html.keywords -> tag\n"
+)
+_MAPPING_INSERTS = st.one_of(
+    st.binary(min_size=1, max_size=6),
+    st.sampled_from(
+        [b"\n", b"\r", b"\x85", b" -> ", b".", b"pdf.", b"identifier:", b"name", b"date", b"\xff"]
+    ),
+)
+
+
+@st.composite
+def _mutated_mapping(draw):
+    return fixtures.mutated(draw, _MAPPING_FILE, _MAPPING_INSERTS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_mapping())
+def test_hostile_mapping_tables_raise_only_ums_errors(data):
+    try:
+        table = load_mapping(data)
+        for rule in table.rules:  # a table that loads maps its own keys
+            map_raw_to_ums(RawMetadata(rule.carrier, ((rule.key, "2011-03-01"),), 0), table)
+    except UmsError:
+        pass

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import os
 import random
+import tempfile
 import unicodedata
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fixtures
 import oracles
-from ums.errors import DuplicateEntry, SidecarSyntaxError
+from ums.errors import DuplicateEntry, SidecarSyntaxError, UmsError
 from ums.metabase import (
     AUTHORS,
     Catalog,
@@ -17,7 +20,6 @@ from ums.metabase import (
     empty_metabase,
     load_catalog,
     load_metabase,
-    register,
     resolve,
 )
 from ums.model import SystematicName, make_systematic_name
@@ -117,7 +119,7 @@ def random_catalog(rng: random.Random) -> Catalog:
             for _ in range(rng.randint(0, 2))
         )
         try:
-            catalog = register(catalog, CatalogEntry(name, synonyms))
+            catalog = Catalog(AUTHORS, catalog.entries + (CatalogEntry(name, synonyms),))
         except DuplicateEntry:
             continue
     return catalog
@@ -149,14 +151,14 @@ class TestRegister:
             "organization", who=["Acme"], when="1990-01-01", where="Berlin"
         )
         catalog = small_catalog()
-        grown = register(catalog, CatalogEntry(systematic_name=org))
+        grown = Catalog(catalog.name, catalog.entries + (CatalogEntry(systematic_name=org),))
         assert len(grown) == len(catalog) + 1
         assert len(catalog) == 3  # the old snapshot is untouched
 
     def test_reregistering_identical_entry_rejected(self):
         catalog = small_catalog()
         with pytest.raises(DuplicateEntry):
-            register(catalog, CatalogEntry(systematic_name=GRACE))
+            Catalog(catalog.name, catalog.entries + (CatalogEntry(systematic_name=GRACE),))
 
     def test_synonym_colliding_with_canonical_rejected(self):
         catalog = small_catalog()
@@ -167,7 +169,7 @@ class TestRegister:
             synonyms=(GRACE.canonical,),
         )
         with pytest.raises(DuplicateEntry):
-            register(catalog, newcomer)
+            Catalog(catalog.name, catalog.entries + (newcomer,))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -183,7 +185,7 @@ class TestRegister:
                 where=f"city{rng.randrange(50)}",
             )
             entry = CatalogEntry(systematic_name=name)
-            catalog = register(catalog, entry)
+            catalog = Catalog(catalog.name, catalog.entries + (entry,))
             entries.append(entry)
         for entry in entries:
             assert resolve(catalog, entry.canonical).kind == "exact"
@@ -192,12 +194,8 @@ class TestRegister:
         catalog = Catalog(name=AUTHORS)
         sizes = [len(catalog)]
         for i in range(5):
-            catalog = register(
-                catalog,
-                CatalogEntry(
-                    systematic_name=SystematicName(kind="other", who=(f"t{i}",))
-                ),
-            )
+            entry = CatalogEntry(systematic_name=SystematicName(kind="other", who=(f"t{i}",)))
+            catalog = Catalog(catalog.name, catalog.entries + (entry,))
             sizes.append(len(catalog))
         assert sizes == sorted(sizes)
 
@@ -230,7 +228,7 @@ class TestMetabase:
     def test_same_name_catalogs_merge_in_file_order(self, tmp_path):
         """Two files of one catalog: the second adds what the first lacks,
         in its own order, and skips the canonical strings already there,
-        as registering its entries one by one would."""
+        as appending its entries one by one would."""
         ada = make_systematic_name(
             "person", who=["Ada", "Lovelace"], when="1815-12-10", where="London"
         )
@@ -255,7 +253,7 @@ class TestMetabase:
         expected = first
         for entry in second.entries:
             if entry.canonical not in {e.canonical for e in expected.entries}:
-                expected = register(expected, entry)
+                expected = Catalog(expected.name, expected.entries + (entry,))
         merged = load_metabase(tmp_path).get(AUTHORS)
         assert merged == expected
         assert [e.canonical for e in merged.entries] == [
@@ -288,3 +286,47 @@ class TestMetabase:
         metabase = Metabase(catalogs=(one, two))
         assert metabase.get(AUTHORS) is one
         assert metabase.get("nothing") is None
+
+
+#: catalog files to mutate: authors with synonyms, systems, subjects
+_CATALOG_FILES = [
+    CATALOG_FILE,
+    b"metabase-catalog: 1\ncatalog: systems\nentry: other:ARXIV||\nentry: other:DOI||\n",
+    b"metabase-catalog: 1\ncatalog: subjects:lcsh\n"
+    b"entry: other:Ice\\,Glaciers|2011-03-01T16:35:22Z|Nordic|7\n  synonym: Eis\n",
+]
+_CATALOG_INSERTS = st.one_of(
+    st.binary(min_size=1, max_size=6),
+    st.sampled_from(
+        [b"\n", b"\r", b"\x85", b"\xe2\x80\xa8", b"entry: ", b"  synonym: ", b"|", b"\\",
+         b"\\,", b"person:", b"catalog: ", b"Admiral Hopper", b"\xff"]
+    ),
+)
+
+
+@st.composite
+def _mutated_catalog(draw):
+    return fixtures.mutated(draw, draw(st.sampled_from(_CATALOG_FILES)), _CATALOG_INSERTS)
+
+
+class TestHostileCatalogs:
+    @settings(max_examples=300, deadline=None)
+    @given(_mutated_catalog())
+    def test_load_catalog_raises_only_ums_errors(self, data):
+        try:
+            load_catalog(data)
+        except UmsError:
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_mutated_catalog(), min_size=1, max_size=3))
+    def test_load_metabase_raises_only_ums_errors(self, files):
+        with tempfile.TemporaryDirectory() as directory:
+            for i, data in enumerate(files):
+                with open(os.path.join(directory, f"{i}.catalog"), "wb") as handle:
+                    handle.write(data)
+            try:
+                metabase = load_metabase(directory)
+            except UmsError:
+                return
+        assert metabase.is_registered_system("DOI")

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 import unicodedata
 
@@ -16,7 +15,7 @@ from ums.errors import (
     UmsError,
     UnknownKey,
 )
-from ums.model import UmsRecord
+from ums.model import UmsRecord, replace
 from ums.sidecar import (
     LENIENT,
     STRICT,
@@ -248,7 +247,7 @@ def _mutated(seed: int, kind: str) -> tuple[bytes, bytes, int]:
     record = recgen.record_with_history(rng)
     if kind == "combining":
         tricky = rng.choice("a\u00e9|") + "\n" + rng.choice("\u0301\u0308\u0327")
-        record = dataclasses.replace(
+        record = replace(
             record, summary=tricky, tags=tuple(dict.fromkeys(record.tags + (tricky,)))
         )
     original = canonical_serialize(record)

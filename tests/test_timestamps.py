@@ -171,6 +171,20 @@ def test_display_form_normalizes_as_its_source(value):
         assert _normalized(shown) == _normalized(value)
 
 
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.one_of(
+        _PDF_DATE,
+        _ISO_INSTANT,
+        st.text(max_size=25),
+        st.builds("D:{}".format, st.one_of(_ISO_INSTANT, st.text(max_size=20))),
+        st.builds("{}{}".format, st.one_of(_PDF_DATE, _ISO_INSTANT), st.text(max_size=4)),
+    )
+)
+def test_display_picks_the_pattern_the_two_tries_would(value):
+    assert timestamps.display(value) == oracles.display_reference(value)
+
+
 @pytest.mark.parametrize(
     "value, shown",
     [
