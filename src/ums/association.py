@@ -11,7 +11,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import UnknownRecord
-from .model import UmsRecord, Value
+from .model import UmsRecord, Value, set_slot
 
 CRITERIA = ("alphabet", "date", "theme", "project", "format", "location")
 
@@ -76,9 +76,9 @@ class CorpusIndex(Value):
         tag_index: dict[str, tuple[UmsRecord, ...]],
         untagged: dict[int, UmsRecord],
     ):
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "tag_index", tag_index)
-        object.__setattr__(self, "untagged", untagged)
+        set_slot(self, "records", records)
+        set_slot(self, "tag_index", tag_index)
+        set_slot(self, "untagged", untagged)
 
 
 def build_index(records: Sequence[UmsRecord]) -> CorpusIndex:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from importlib import import_module
 
-from ..model import CARRIER_HTML, CARRIER_PDF, CARRIER_SIDECAR, Value
+from ..model import CARRIER_HTML, CARRIER_PDF, CARRIER_SIDECAR, Value, set_slot
 
 
 class RawMetadata(Value):
@@ -28,10 +28,10 @@ class RawMetadata(Value):
         byte_size: int,
         errors: tuple[str, ...] = (),
     ):
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "byte_size", byte_size)
-        object.__setattr__(self, "errors", errors)
+        set_slot(self, "carrier", carrier)
+        set_slot(self, "pairs", pairs)
+        set_slot(self, "byte_size", byte_size)
+        set_slot(self, "errors", errors)
 
 
 def base_key(key: str) -> str:

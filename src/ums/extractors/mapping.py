@@ -26,6 +26,7 @@ from ..model import (
     format_tag,
     language_code,
     nfc,
+    set_slot,
 )
 from . import RawMetadata, base_key
 
@@ -58,9 +59,9 @@ class MappingRule(Value):
     __slots__ = _fields = ("carrier", "key", "target")
 
     def __init__(self, carrier: str, key: str, target: str):
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "target", target)
+        set_slot(self, "carrier", carrier)
+        set_slot(self, "key", key)
+        set_slot(self, "target", target)
 
 
 def _format_rule(key: str, carrier: str):
@@ -96,7 +97,7 @@ class MappingTable(Value):
     __slots__ = _fields + ("_slots",)
 
     def __init__(self, rules: tuple[MappingRule, ...]):
-        object.__setattr__(self, "rules", rules)
+        set_slot(self, "rules", rules)
         filled: set[tuple[str, str]] = set()
         slots: dict[str, dict[str, tuple]] = {}
         for rule in rules:
@@ -114,7 +115,7 @@ class MappingTable(Value):
             by_key = slots.setdefault(rule.carrier, {})
             if rule.key not in by_key:
                 by_key[rule.key] = _slot(rule)
-        object.__setattr__(self, "_slots", slots)
+        set_slot(self, "_slots", slots)
 
 
 DEFAULT_MAPPING = MappingTable(

@@ -11,7 +11,7 @@ import re
 from typing import Iterable, Optional
 
 from .errors import UnknownSystem
-from .model import Value
+from .model import Value, set_slot
 
 #: classification systems registered out of the box
 BUILTIN_SYSTEMS = ("DOI", "ISBN", "PMID", "URN", "PURL", "ISNI", "OCLC")
@@ -28,8 +28,8 @@ class IdentifierCheck(Value):
     __slots__ = _fields = ("valid", "reason")
 
     def __init__(self, valid: bool, reason: Optional[str] = None):
-        object.__setattr__(self, "valid", valid)
-        object.__setattr__(self, "reason", reason)
+        set_slot(self, "valid", valid)
+        set_slot(self, "reason", reason)
 
     @staticmethod
     def ok() -> "IdentifierCheck":

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 from .identifiers import BUILTIN_SYSTEMS, validate_identifier
 # perfbench/spans.py wraps ums.lint.resolve, and a traced run fails if it is unbound
 from .metabase import Metabase, resolve  # noqa: F401
-from .model import UmsRecord, Value, missing_fields
+from .model import UmsRecord, Value, missing_fields, set_slot
 from .validation import RECOMMENDED_FIELDS, uncatalogued_creators
 
 if TYPE_CHECKING:
@@ -35,10 +35,10 @@ class LintFinding(Value):
     def __init__(
         self, code: str, severity: str, message: str, evidence: tuple[tuple[str, str], ...] = ()
     ):
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "severity", severity)
-        object.__setattr__(self, "message", message)
-        object.__setattr__(self, "evidence", evidence)
+        set_slot(self, "code", code)
+        set_slot(self, "severity", severity)
+        set_slot(self, "message", message)
+        set_slot(self, "evidence", evidence)
 
     def line(self) -> str:
         return f"{self.code}\t{self.severity}\t{self.message}"

@@ -13,7 +13,7 @@ from typing import Optional, Union
 
 from .errors import DuplicateEntry, SidecarSyntaxError
 from .identifiers import BUILTIN_SYSTEMS
-from .model import SystematicName, Value, nfc, parse_systematic_name
+from .model import SystematicName, Value, nfc, parse_systematic_name, set_slot
 
 CATALOG_HEADER = "metabase-catalog: 1"
 
@@ -31,9 +31,9 @@ class CatalogEntry(Value):
     __slots__ = _fields + ("canonical",)
 
     def __init__(self, systematic_name: SystematicName, synonyms: tuple[str, ...] = ()):
-        object.__setattr__(self, "systematic_name", systematic_name)
-        object.__setattr__(self, "synonyms", tuple(nfc(s) for s in synonyms))
-        object.__setattr__(self, "canonical", systematic_name.canonical)
+        set_slot(self, "systematic_name", systematic_name)
+        set_slot(self, "synonyms", tuple(nfc(s) for s in synonyms))
+        set_slot(self, "canonical", systematic_name.canonical)
 
 
 class Catalog(Value):
@@ -45,8 +45,8 @@ class Catalog(Value):
     __slots__ = _fields + ("exact",)
 
     def __init__(self, name: str, entries: tuple[CatalogEntry, ...] = ()):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "entries", entries)
+        set_slot(self, "name", name)
+        set_slot(self, "entries", entries)
         exact: dict[str, CatalogEntry] = {}
         for entry in entries:
             if entry.canonical in exact:
@@ -62,7 +62,7 @@ class Catalog(Value):
                         )
                     raise DuplicateEntry(f"synonym used twice: {syn!r}")
                 exact[syn] = entry
-        object.__setattr__(self, "exact", exact)
+        set_slot(self, "exact", exact)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -79,9 +79,9 @@ class Resolution(Value):
         entry: Optional[CatalogEntry] = None,
         candidates: tuple[CatalogEntry, ...] = (),
     ):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "entry", entry)
-        object.__setattr__(self, "candidates", candidates)
+        set_slot(self, "kind", kind)
+        set_slot(self, "entry", entry)
+        set_slot(self, "candidates", candidates)
 
 
 def resolve(catalog: Catalog, query: str) -> Resolution:
@@ -175,14 +175,12 @@ class Metabase(Value):
     __slots__ = _fields + ("by_name", "system_set")
 
     def __init__(self, catalogs: tuple[Catalog, ...] = ()):
-        object.__setattr__(self, "catalogs", catalogs)
+        set_slot(self, "catalogs", catalogs)
         by_name: dict[str, Catalog] = {}
         for catalog in catalogs:
             by_name.setdefault(catalog.name, catalog)
-        object.__setattr__(self, "by_name", by_name)
-        object.__setattr__(
-            self, "system_set", frozenset(t.upper() for t in self.system_tokens())
-        )
+        set_slot(self, "by_name", by_name)
+        set_slot(self, "system_set", frozenset(t.upper() for t in self.system_tokens()))
 
     def get(self, name: str) -> Optional[Catalog]:
         return self.by_name.get(name)

@@ -17,7 +17,10 @@ the hash covers the same fields, the repr is
 ``Class(field=value, ...)``, and copying and pickling build a new value
 through ``__init__``.  :func:`replace` does the same with some fields
 changed, so every check runs again.  A slot outside ``_fields`` holds
-something derived from the fields and takes part in none of this.
+something derived from the fields and takes part in none of this.  The
+functions of :mod:`dataclasses` accept values too (``replace`` then
+also builds through ``__init__``), though no value is built by it and
+:mod:`dataclasses` is loaded only when one of them is called.
 """
 
 from __future__ import annotations
@@ -77,9 +80,35 @@ def nfc(value: str) -> str:
     return unicodedata.normalize("NFC", value)
 
 
-#: sets a slot of a value object past its frozen ``__setattr__``; the
-#: other modules, whose constructors run less often, spell it out
-_set = object.__setattr__
+#: sets a slot of a value object past its frozen ``__setattr__``; every
+#: hand-written constructor of the toolkit uses it
+set_slot = object.__setattr__
+
+
+class _DataclassFields:
+    """A value class's ``__dataclass_fields__``: the attribute by which
+    the functions of :mod:`dataclasses` (``replace``, ``fields``,
+    ``asdict``, ``is_dataclass``) know a dataclass, so code written for
+    the toolkit's former dataclasses keeps working.  Built on first use
+    per class; only a caller that asks for it loads :mod:`dataclasses`."""
+
+    def __init__(self):
+        self.of_class: dict[type, dict] = {}
+
+    def __get__(self, value, cls):
+        fields = self.of_class.get(cls)
+        if fields is None:
+            import dataclasses
+
+            spec = [
+                name
+                if name in cls._fields
+                else (name, object, dataclasses.field(init=False, repr=False, compare=False))
+                for name in cls.__slots__
+            ]
+            mirror = dataclasses.make_dataclass(cls.__name__, spec)
+            fields = self.of_class[cls] = mirror.__dataclass_fields__
+        return fields
 
 
 class Value:
@@ -89,6 +118,7 @@ class Value:
     __slots__ = ()
     #: the constructor's parameters, in order
     _fields: tuple[str, ...] = ()
+    __dataclass_fields__ = _DataclassFields()
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls._fields)
@@ -196,8 +226,8 @@ class IdentifierBinding(Value):
     __slots__ = _fields = ("system", "id")
 
     def __init__(self, system: str, id: str):
-        _set(self, "system", system)
-        _set(self, "id", id)
+        set_slot(self, "system", system)
+        set_slot(self, "id", id)
         self.__post_init__()
 
     def __post_init__(self):
@@ -206,8 +236,8 @@ class IdentifierBinding(Value):
             raise InvariantViolation(f"bad system token: {self.system!r}")
         if self.id == "":
             raise InvariantViolation("empty identity number")
-        _set(self, "system", system)
-        _set(self, "id", nfc(self.id))
+        set_slot(self, "system", system)
+        set_slot(self, "id", nfc(self.id))
 
     # written out, as they run faster than Value's: verify_history hashes
     # and compares the binding of every reclassify event
@@ -226,18 +256,18 @@ class Subject(Value):
     __slots__ = _fields = ("text", "source")
 
     def __init__(self, text: str, source: Optional[str] = None):
-        _set(self, "text", text)
-        _set(self, "source", source)
+        set_slot(self, "text", text)
+        set_slot(self, "source", source)
         self.__post_init__()
 
     def __post_init__(self):
         if self.text == "":
             raise InvariantViolation("empty subject")
-        _set(self, "text", nfc(self.text))
+        set_slot(self, "text", nfc(self.text))
         if self.source is not None:
             if self.source == "":
                 raise InvariantViolation("empty subject source")
-            _set(self, "source", nfc(self.source))
+            set_slot(self, "source", nfc(self.source))
 
 
 class ProvenanceEvent(Value):
@@ -246,11 +276,11 @@ class ProvenanceEvent(Value):
     __slots__ = _fields = ("seq", "timestamp", "kind", "payload", "prev")
 
     def __init__(self, seq: int, timestamp: str, kind: str, payload: str, prev: str):
-        _set(self, "seq", seq)
-        _set(self, "timestamp", timestamp)
-        _set(self, "kind", kind)
-        _set(self, "payload", payload)
-        _set(self, "prev", prev)
+        set_slot(self, "seq", seq)
+        set_slot(self, "timestamp", timestamp)
+        set_slot(self, "kind", kind)
+        set_slot(self, "payload", payload)
+        set_slot(self, "prev", prev)
         self.__post_init__()
 
     def __post_init__(self):
@@ -261,7 +291,7 @@ class ProvenanceEvent(Value):
         timestamps.ensure_canonical(self.timestamp)
         if not _PREV_RE.fullmatch(self.prev):
             raise InvariantViolation(f"bad prev digest: {self.prev!r}")
-        _set(self, "payload", nfc(self.payload))
+        set_slot(self, "payload", nfc(self.payload))
 
 
 class SystematicName(Value):
@@ -277,11 +307,11 @@ class SystematicName(Value):
         where: Optional[str] = None,
         qualifier: Optional[str] = None,
     ):
-        _set(self, "kind", kind)
-        _set(self, "who", who)
-        _set(self, "when", when)
-        _set(self, "where", where)
-        _set(self, "qualifier", qualifier)
+        set_slot(self, "kind", kind)
+        set_slot(self, "who", who)
+        set_slot(self, "when", when)
+        set_slot(self, "where", where)
+        set_slot(self, "qualifier", qualifier)
         self.__post_init__()
 
     def __post_init__(self):
@@ -290,13 +320,13 @@ class SystematicName(Value):
         who = checked(None, self.who, what="name component")
         if not who:
             raise MissingComponent("a systematic name needs a who-part")
-        _set(self, "who", who)
+        set_slot(self, "who", who)
         if self.when is not None:
-            _set(self, "when", timestamps.ensure_canonical(self.when))
+            set_slot(self, "when", timestamps.ensure_canonical(self.when))
         if self.where is not None:
             if self.where == "":
                 raise InvariantViolation("empty where component")
-            _set(self, "where", nfc(self.where))
+            set_slot(self, "where", nfc(self.where))
         if self.qualifier is not None and not _QUALIFIER_RE.fullmatch(self.qualifier):
             raise InvariantViolation(f"qualifier must be digits: {self.qualifier!r}")
 
@@ -412,28 +442,28 @@ class UmsRecord(Value):
         tags: tuple[str, ...] = (),
         history: tuple[ProvenanceEvent, ...] = (),
     ):
-        _set(self, "name", name)
-        _set(self, "synonyms", synonyms)
-        _set(self, "formats", formats)
-        _set(self, "date", date)
-        _set(self, "doc_type", doc_type)
-        _set(self, "summary", summary)
-        _set(self, "languages", languages)
-        _set(self, "locations", locations)
-        _set(self, "creators", creators)
-        _set(self, "identifiers", identifiers)
-        _set(self, "access", access)
-        _set(self, "subjects", subjects)
-        _set(self, "tags", tags)
-        _set(self, "history", history)
+        set_slot(self, "name", name)
+        set_slot(self, "synonyms", synonyms)
+        set_slot(self, "formats", formats)
+        set_slot(self, "date", date)
+        set_slot(self, "doc_type", doc_type)
+        set_slot(self, "summary", summary)
+        set_slot(self, "languages", languages)
+        set_slot(self, "locations", locations)
+        set_slot(self, "creators", creators)
+        set_slot(self, "identifiers", identifiers)
+        set_slot(self, "access", access)
+        set_slot(self, "subjects", subjects)
+        set_slot(self, "tags", tags)
+        set_slot(self, "history", history)
         self.__post_init__()
 
     def __post_init__(self):
         """Normalize and check every value; a rejection names the record
         field and the index of the entry it rejects."""
-        _set(self, "name", nfc(self.name))
-        _set(self, "synonyms", checked("synonyms", self.synonyms, what="synonym"))
-        _set(self, "formats", checked("formats", self.formats, format_tag, "format"))
+        set_slot(self, "name", nfc(self.name))
+        set_slot(self, "synonyms", checked("synonyms", self.synonyms, what="synonym"))
+        set_slot(self, "formats", checked("formats", self.formats, format_tag, "format"))
         if self.date is not None:
             try:
                 timestamps.ensure_canonical(self.date)
@@ -445,15 +475,15 @@ class UmsRecord(Value):
         if self.summary is not None:
             if self.summary == "":
                 raise _rejected("empty summary", "summary")
-            _set(self, "summary", nfc(self.summary))
+            set_slot(self, "summary", nfc(self.summary))
         languages = checked("languages", self.languages, language_code, "language")
-        _set(self, "languages", languages)
-        _set(self, "locations", checked("locations", self.locations, what="location"))
-        _set(self, "creators", checked("creators", self.creators, what="creator"))
-        _set(self, "identifiers", tuple(self.identifiers))
-        _set(self, "subjects", tuple(self.subjects))
-        _set(self, "tags", checked("tags", self.tags, what="tag"))
-        _set(self, "history", tuple(self.history))
+        set_slot(self, "languages", languages)
+        set_slot(self, "locations", checked("locations", self.locations, what="location"))
+        set_slot(self, "creators", checked("creators", self.creators, what="creator"))
+        set_slot(self, "identifiers", tuple(self.identifiers))
+        set_slot(self, "subjects", tuple(self.subjects))
+        set_slot(self, "tags", checked("tags", self.tags, what="tag"))
+        set_slot(self, "history", tuple(self.history))
 
         if not isinstance(self.access, int) or not 0 <= self.access <= 3:
             raise _rejected(f"access level out of range: {self.access!r}", "access")

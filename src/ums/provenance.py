@@ -22,6 +22,7 @@ from .model import (
     language_code,
     nfc,
     replace,
+    set_slot,
 )
 from .sidecar import serialize_event
 
@@ -132,10 +133,10 @@ class VerifyResult(Value):
     def __init__(
         self, ok: bool, chain_length: int, broken_at: Optional[int] = None, detail: str = ""
     ):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "chain_length", chain_length)
-        object.__setattr__(self, "broken_at", broken_at)
-        object.__setattr__(self, "detail", detail)
+        set_slot(self, "ok", ok)
+        set_slot(self, "chain_length", chain_length)
+        set_slot(self, "broken_at", broken_at)
+        set_slot(self, "detail", detail)
 
 
 class _Inconsistent(Exception):

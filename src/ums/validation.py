@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .metabase import AUTHORS, ORGANIZATIONS, SUBJECTS_PREFIX, Metabase, resolve
-from .model import LENIENT, STRICT, UmsRecord, Value, missing_fields
+from .model import LENIENT, STRICT, UmsRecord, Value, missing_fields, set_slot
 
 #: fields a good description should carry: key -> record field
 RECOMMENDED_FIELDS = {"language": "languages", "location": "locations", "creator": "creators"}
@@ -13,8 +13,8 @@ class Violation(Value):
     __slots__ = _fields = ("code", "message")
 
     def __init__(self, code: str, message: str):
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "message", message)
+        set_slot(self, "code", code)
+        set_slot(self, "message", message)
 
     def __str__(self) -> str:
         return f"{self.code}: {self.message}"
@@ -24,7 +24,7 @@ class ValidationReport(Value):
     __slots__ = _fields = ("violations",)
 
     def __init__(self, violations: tuple[Violation, ...] = ()):
-        object.__setattr__(self, "violations", violations)
+        set_slot(self, "violations", violations)
 
     @property
     def ok(self) -> bool:

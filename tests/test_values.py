@@ -303,3 +303,29 @@ def test_replace_builds_and_checks_again(name):
     assert model.replace(value) == value
     with pytest.raises(TypeError):
         model.replace(value, no_such_field=1)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_dataclasses_functions_accept_values(name):
+    """Code written for the former dataclasses keeps working."""
+    import dataclasses
+
+    value = CASES[name][0]()
+    cls = type(value)
+    assert dataclasses.is_dataclass(value)
+    fields = dataclasses.fields(value)
+    assert tuple(f.name for f in fields) == cls.__slots__
+    assert tuple(f.name for f in fields if f.init) == cls._fields
+    assert tuple(f.name for f in fields if f.compare) == cls._fields
+    assert dataclasses.fields(cls) == fields
+    assert dataclasses.replace(value) == value
+    changes, expect = CASES[name][4:]
+    if isinstance(expect, type):
+        with pytest.raises(expect):
+            dataclasses.replace(value, **changes)
+    else:
+        assert dataclasses.replace(value, **changes) == model.replace(value, **changes)
+    for derived in set(cls.__slots__) - set(cls._fields):
+        with pytest.raises(ValueError):
+            dataclasses.replace(value, **{derived: None})
+    assert tuple(dataclasses.asdict(value)) == cls.__slots__
