@@ -33,7 +33,7 @@ _SOURCES = {
     ),
     "model": (
         "IdentifierBinding ProvenanceEvent Subject SystematicName UmsRecord"
-        " make_systematic_name parse_systematic_name"
+        " parse_systematic_name"
     ),
     "provenance": "VerifyResult apply_event original_view verify_history",
     "sidecar": "canonical_serialize parse_record parse_record_with_warnings",

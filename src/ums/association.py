@@ -13,8 +13,6 @@ from typing import Iterable, Sequence
 from .errors import UnknownRecord
 from .model import UmsRecord, Value, set_slot
 
-CRITERIA = ("alphabet", "date", "theme", "project", "format", "location")
-
 PROJECT_TAG_PREFIX = "project:"
 
 #: bucket names for records a criterion cannot place
@@ -24,23 +22,23 @@ UNASSIGNED = "~unassigned"
 UNKNOWN = "~unknown"
 
 
-def _group_key(record: UmsRecord, criterion: str) -> str:
-    if criterion == "alphabet":
-        return record.name[:1] if record.name else UNKNOWN
-    if criterion == "date":
-        return record.date[:4] if record.date else UNDATED
-    if criterion == "theme":
-        return record.tags[0] if record.tags else UNTAGGED
-    if criterion == "project":
-        for tag in record.tags:
-            if tag.startswith(PROJECT_TAG_PREFIX):
-                return tag[len(PROJECT_TAG_PREFIX) :]
-        return UNASSIGNED
-    if criterion == "format":
-        return record.formats[0] if record.formats else UNKNOWN
-    if criterion == "location":
-        return record.locations[0] if record.locations else UNKNOWN
-    raise ValueError(f"unknown grouping criterion: {criterion!r}")
+def _project(record: UmsRecord) -> str:
+    for tag in record.tags:
+        if tag.startswith(PROJECT_TAG_PREFIX):
+            return tag[len(PROJECT_TAG_PREFIX) :]
+    return UNASSIGNED
+
+
+#: grouping criterion -> the group key of a record
+_GROUP_KEYS = {
+    "alphabet": lambda r: r.name[:1] if r.name else UNKNOWN,
+    "date": lambda r: r.date[:4] if r.date else UNDATED,
+    "theme": lambda r: r.tags[0] if r.tags else UNTAGGED,
+    "project": _project,
+    "format": lambda r: r.formats[0] if r.formats else UNKNOWN,
+    "location": lambda r: r.locations[0] if r.locations else UNKNOWN,
+}
+CRITERIA = tuple(_GROUP_KEYS)
 
 
 def group_by(
@@ -48,11 +46,12 @@ def group_by(
 ) -> list[tuple[str, list[UmsRecord]]]:
     """Partition records into named groups; every record lands in
     exactly one group, and groups and members sort lexicographically."""
-    if criterion not in CRITERIA:
+    key_of = _GROUP_KEYS.get(criterion)
+    if key_of is None:
         raise ValueError(f"unknown grouping criterion: {criterion!r}")
     buckets: dict[str, list[UmsRecord]] = {}
     for record in records:
-        buckets.setdefault(_group_key(record, criterion), []).append(record)
+        buckets.setdefault(key_of(record), []).append(record)
     out = []
     for key in sorted(buckets):
         members = sorted(buckets[key], key=lambda r: r.name)

@@ -23,7 +23,7 @@ class InvalidTimestamp(UmsError):
 
 
 class MissingComponent(UmsError):
-    """A systematic name lacks a component required by the active scope."""
+    """A systematic name lacks its who-part."""
 
 
 class SidecarSyntaxError(UmsError):
@@ -50,11 +50,7 @@ class DuplicateSingletonKey(SidecarSyntaxError):
         self.key = key
 
 
-class CatalogError(UmsError):
-    """Base class for metabase catalog problems."""
-
-
-class DuplicateEntry(CatalogError):
+class DuplicateEntry(UmsError):
     """A catalog already holds this canonical string or synonym."""
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from functools import partial
-from typing import Optional
 
 from .. import timestamps
 from ..errors import InvalidTimestamp, InvariantViolation, MappingError, RuleConflict
@@ -66,7 +65,8 @@ class MappingRule(Value):
 
 def _format_rule(key: str, carrier: str):
     """:func:`format_tag` of a value (of a MIME type's subtype); a value
-    that is no format tag states the carrier's own format."""
+    that is no format tag states the carrier's own format, if the
+    carrier's name is a format tag."""
 
     def rule(value: str) -> str:
         if key == "MIMEType" and "/" in value:
@@ -74,7 +74,7 @@ def _format_rule(key: str, carrier: str):
         try:
             return format_tag(value)
         except InvariantViolation:
-            return carrier
+            return format_tag(carrier)
 
     return rule
 
@@ -156,9 +156,7 @@ def load_mapping(data: bytes) -> MappingTable:
 
 
 def map_raw_to_ums(
-    raw: RawMetadata,
-    table: MappingTable = DEFAULT_MAPPING,
-    source: Optional[str] = None,
+    raw: RawMetadata, table: MappingTable = DEFAULT_MAPPING
 ) -> tuple[UmsRecord, tuple[tuple[str, str], ...]]:
     """Map raw pairs into a partial record; unmapped pairs come back.
 
@@ -167,7 +165,8 @@ def map_raw_to_ums(
     value is empty, or whose value the target's rule rejects (a date in no
     accepted form, say), goes to the unmapped list instead of being
     guessed at.  A value equal to one already mapped after that rule has
-    shaped it is mapped once.
+    shaped it is mapped once.  A record with no mapped format takes the
+    carrier's name as its format, if that name is a format tag.
     """
     slots = table._slots.get(raw.carrier)
     if not slots:
@@ -191,13 +190,11 @@ def map_raw_to_ums(
                     continue
         unmapped.append((key, value))
 
-    formats = values.setdefault("formats", [])
-    if not formats and raw.pairs:
-        formats.append(raw.carrier)
-    if source:
-        locations = values.setdefault("locations", [])
-        if nfc(source) not in locations:
-            locations.insert(0, source)
+    if raw.pairs and not values.get("formats"):
+        try:
+            values["formats"] = [format_tag(raw.carrier)]
+        except InvariantViolation:
+            pass
 
     record = UmsRecord(
         **{

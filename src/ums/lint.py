@@ -3,13 +3,13 @@
 Raw-level rules catch what carrier files typically get wrong: the same
 format stated over and over, two different creatorship claims, creation
 and modification timestamps that coincide and so say nothing, invalid
-identity numbers, placeholder values.  Record-level rules catch gaps in
-an already-normalized description.
+identity numbers.  Record-level rules catch gaps in an already-normalized
+description.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .identifiers import BUILTIN_SYSTEMS, validate_identifier
 # perfbench/spans.py wraps ums.lint.resolve, and a traced run fails if it is unbound
@@ -25,7 +25,8 @@ WARNING = "warning"
 INFO = "info"
 _SEVERITY_RANK = {INFO: 0, WARNING: 1, ERROR: 2}
 
-#: related-systems table: presence in one side suggests the other
+#: related-systems table of system tokens: presence in one side suggests
+#: the other
 DEFAULT_RELATED_SYSTEMS = (("OCLC", "PMID"),)
 
 
@@ -63,7 +64,7 @@ def _format_evidence(raw: RawMetadata) -> tuple[tuple[str, str], ...]:
     return tuple(hits)
 
 
-def lint_raw(raw: RawMetadata, placeholders: Sequence[str] = ()) -> list[LintFinding]:
+def lint_raw(raw: RawMetadata) -> list[LintFinding]:
     """Diagnose raw carrier pairs; deterministic rule and evidence order."""
     # imported here so that linting a sidecar loads no extractor
     from .extractors import base_key
@@ -126,19 +127,6 @@ def lint_raw(raw: RawMetadata, placeholders: Sequence[str] = ()) -> list[LintFin
                 )
             )
 
-    if placeholders:
-        marks = {p for p in placeholders}
-        for key, value in raw.pairs:
-            if value in marks:
-                findings.append(
-                    LintFinding(
-                        code="PLACEHOLDER_VALUE",
-                        severity=WARNING,
-                        message=f"{key} holds the placeholder {value!r}",
-                        evidence=((key, value),),
-                    )
-                )
-
     # what best-effort extraction had to skip, so a partial read is seen
     for error in raw.errors:
         findings.append(LintFinding(code="EXTRACT_PARTIAL", severity=INFO, message=error))
@@ -146,11 +134,7 @@ def lint_raw(raw: RawMetadata, placeholders: Sequence[str] = ()) -> list[LintFin
     return findings
 
 
-def lint_record(
-    record: UmsRecord,
-    metabase: Optional[Metabase] = None,
-    related_systems: Sequence[tuple[str, str]] = DEFAULT_RELATED_SYSTEMS,
-) -> list[LintFinding]:
+def lint_record(record: UmsRecord, metabase: Optional[Metabase] = None) -> list[LintFinding]:
     """Diagnose a normalized record.
 
     Catalog-dependent rules only run when a metabase is supplied.
@@ -177,8 +161,7 @@ def lint_record(
             )
 
     present = {binding.system for binding in record.identifiers}
-    for left, right in related_systems:
-        left, right = left.upper(), right.upper()
+    for left, right in DEFAULT_RELATED_SYSTEMS:
         for have, missing in ((left, right), (right, left)):
             if have in present and missing not in present:
                 findings.append(

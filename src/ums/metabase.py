@@ -40,8 +40,11 @@ class Catalog(Value):
     """A named, grow-only set of catalog entries."""
 
     _fields = ("name", "entries")
-    #: ``exact``: canonical string or synonym -> its entry; the two sets
-    #: are disjoint
+    #: ``exact``: NFC form of a canonical string, or synonym -> its entry;
+    #: the two sets are disjoint.  Queries are NFC, and an escaped line
+    #: feed before a combining mark makes a canonical string that is not;
+    #: its NFC form is still unique, as escaping never puts a lone
+    #: backslash before a composed letter.
     __slots__ = _fields + ("exact",)
 
     def __init__(self, name: str, entries: tuple[CatalogEntry, ...] = ()):
@@ -49,14 +52,15 @@ class Catalog(Value):
         set_slot(self, "entries", entries)
         exact: dict[str, CatalogEntry] = {}
         for entry in entries:
-            if entry.canonical in exact:
+            key = nfc(entry.canonical)
+            if key in exact:
                 raise DuplicateEntry(f"duplicate canonical string: {entry.canonical}")
-            exact[entry.canonical] = entry
+            exact[key] = entry
         for entry in entries:
             for syn in entry.synonyms:
                 owner = exact.get(syn)
                 if owner is not None:
-                    if owner.canonical == syn:
+                    if nfc(owner.canonical) == syn:
                         raise DuplicateEntry(
                             f"synonym collides with a canonical string: {syn!r}"
                         )
@@ -145,15 +149,6 @@ def load_catalog(data: bytes) -> Catalog:
     return Catalog(name=name, entries=tuple(entries))
 
 
-def dump_catalog(catalog: Catalog) -> bytes:
-    """Serialize a catalog in the catalog file format."""
-    lines = [CATALOG_HEADER, f"catalog: {catalog.name}"]
-    for entry in catalog.entries:
-        lines.append(f"entry: {entry.canonical}")
-        lines += [f"  synonym: {syn}" for syn in entry.synonyms]
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
 def builtin_systems_catalog() -> Catalog:
     """The classification systems registered out of the box."""
     entries = tuple(
@@ -180,7 +175,9 @@ class Metabase(Value):
         for catalog in catalogs:
             by_name.setdefault(catalog.name, catalog)
         set_slot(self, "by_name", by_name)
-        set_slot(self, "system_set", frozenset(t.upper() for t in self.system_tokens()))
+        systems = by_name.get(SYSTEMS)
+        entries = systems.entries if systems is not None else ()
+        set_slot(self, "system_set", frozenset(e.systematic_name.who[0].upper() for e in entries))
 
     def get(self, name: str) -> Optional[Catalog]:
         return self.by_name.get(name)
@@ -188,12 +185,6 @@ class Metabase(Value):
     def with_catalog(self, catalog: Catalog) -> "Metabase":
         kept = tuple(c for c in self.catalogs if c.name != catalog.name)
         return Metabase(catalogs=kept + (catalog,))
-
-    def system_tokens(self) -> tuple[str, ...]:
-        systems = self.get(SYSTEMS)
-        if systems is None:
-            return ()
-        return tuple(entry.systematic_name.who[0] for entry in systems.entries)
 
     def is_registered_system(self, token: str) -> bool:
         return token.upper() in self.system_set

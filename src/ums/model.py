@@ -345,37 +345,6 @@ class SystematicName(Value):
         return f"{self.kind}:" + "|".join(parts)
 
 
-def make_systematic_name(
-    kind: str,
-    who: Iterable[str],
-    when: Optional[str] = None,
-    where: Optional[str] = None,
-    qualifier: Optional[str] = None,
-    scope: str = "strict",
-) -> SystematicName:
-    """Build a systematic name, enforcing the identification minimum.
-
-    In strict scope a person needs at least a given and a family name
-    plus birth date and place; an organization needs its founding date
-    and place.  Local scope relaxes those requirements.
-    """
-    if scope not in ("strict", "local"):
-        raise InvariantViolation(f"unknown scope: {scope!r}")
-    who = tuple(who)
-    if not who or any(p == "" for p in who):
-        raise MissingComponent("who-part must have non-empty components")
-    if when is not None:
-        when = timestamps.normalize(when)
-    if scope == "strict" and kind in ("person", "organization"):
-        if kind == "person" and len(who) < 2:
-            raise MissingComponent("a person needs a family name in strict scope")
-        if when is None:
-            raise MissingComponent(f"a {kind} needs a date in strict scope")
-        if where is None:
-            raise MissingComponent(f"a {kind} needs a place in strict scope")
-    return SystematicName(kind=kind, who=who, when=when, where=where, qualifier=qualifier)
-
-
 def _split_who(segment: str) -> list[str]:
     """Split an escaped who-segment on the backslash-comma marker; the
     parts stay escaped."""

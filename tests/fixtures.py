@@ -1,9 +1,12 @@
 """Carrier fixtures built from scratch so every byte is accounted for,
-and the byte mutations hostile-input properties apply to input files."""
+the catalog files of a metabase, and the byte mutations hostile-input
+properties apply to input files."""
 
 from __future__ import annotations
 
 from hypothesis import strategies as st
+
+from ums.metabase import CATALOG_HEADER
 
 
 def mutated(draw, data: bytes, inserts: st.SearchStrategy[bytes]) -> bytes:
@@ -191,3 +194,13 @@ def pubmed_html() -> bytes:
 
 def bare_html() -> bytes:
     return b"<html><head><title>  Plain page </title></head><body>hi</body></html>"
+
+
+def dump_catalog(catalog) -> bytes:
+    """*catalog* in the catalog file format, as a hand-written file would
+    state it."""
+    lines = [CATALOG_HEADER, f"catalog: {catalog.name}"]
+    for entry in catalog.entries:
+        lines.append(f"entry: {entry.canonical}")
+        lines += [f"  synonym: {syn}" for syn in entry.synonyms]
+    return ("\n".join(lines) + "\n").encode("utf-8")

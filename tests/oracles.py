@@ -51,6 +51,36 @@ def isbn10_valid(candidate: str) -> bool:
     return False
 
 
+_URN_NID_REFERENCE_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9-]{0,31}")
+_URN_NSS_CHAR_REFERENCE_RE = re.compile(r"[A-Za-z0-9()+,\-.:=@;$_!*']")
+
+
+def check_urn_reference(value: str) -> tuple[bool, Optional[str]]:
+    """RFC 2141 lexical shape, read one NSS character or ``%`` escape at a
+    time: the loop the compiled NSS pattern replaced, kept verbatim.
+    Returns ``(valid, reason)``."""
+    parts = value.split(":", 2)
+    if len(parts) != 3 or parts[0].lower() != "urn":
+        return False, "BadSyntax"
+    nid, nss = parts[1], parts[2]
+    if not _URN_NID_REFERENCE_RE.fullmatch(nid) or nid.lower() == "urn":
+        return False, "BadSyntax"
+    if not nss:
+        return False, "BadSyntax"
+    i = 0
+    while i < len(nss):
+        ch = nss[i]
+        if ch == "%":
+            if not re.match(r"%[0-9A-Fa-f]{2}", nss[i:]):
+                return False, "BadSyntax"
+            i += 3
+        elif _URN_NSS_CHAR_REFERENCE_RE.match(ch):
+            i += 1
+        else:
+            return False, "BadSyntax"
+    return True, None
+
+
 def bucket_records(records, key_of):
     """Naive scan-and-bucket partition, groups and members sorted."""
     buckets = {}
@@ -194,12 +224,13 @@ def display_reference(value: str) -> Optional[str]:
 
 
 def resolve_reference(catalog, query: str):
-    """Scan every entry in order for an exact canonical or synonym hit;
-    otherwise collect who-part matches sorted by canonical string.
-    Returns ``(kind, entry, candidates)``."""
+    """Scan every entry in order for an exact hit on the NFC form of its
+    canonical string or on a synonym; otherwise collect who-part matches
+    sorted by canonical string.  Returns ``(kind, entry, candidates)``."""
     query = unicodedata.normalize("NFC", query)
     for entry in catalog.entries:
-        if entry.systematic_name.canonical == query or query in entry.synonyms:
+        canonical = unicodedata.normalize("NFC", entry.systematic_name.canonical)
+        if canonical == query or query in entry.synonyms:
             return ("exact", entry, ())
     candidates = [
         entry for entry in catalog.entries if query in entry.systematic_name.who
@@ -265,7 +296,7 @@ _DOC_TYPES = ("text", "image", "photo", "video", "sound")
 _IDENTIFIER_TARGET_RE = re.compile(r"identifier:([A-Z0-9]+)")
 
 
-def map_raw_to_ums_reference(raw, table, source=None):
+def map_raw_to_ums_reference(raw, table):
     """The mapping as it stood before it shaped values with the record's
     own rules: one branch per target, each restating its rule, and list
     targets deduplicated on the raw value, so values equal only after
@@ -342,8 +373,6 @@ def map_raw_to_ums_reference(raw, table, source=None):
             unmapped.append((key, value))
     if not formats and raw.pairs:
         formats.append(raw.carrier)
-    if source is not None and source not in locations:
-        locations.insert(0, source)
     record = UmsRecord(
         name=singles.get("name", ""),
         formats=tuple(formats),

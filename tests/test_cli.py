@@ -15,9 +15,8 @@ from ums.metabase import (
     AUTHORS,
     Catalog,
     CatalogEntry,
-    dump_catalog,
 )
-from ums.model import Subject, UmsRecord, make_systematic_name
+from ums.model import Subject, SystematicName, UmsRecord
 from ums.provenance import apply_event
 from ums.sidecar import canonical_serialize, parse_record
 
@@ -175,8 +174,8 @@ class TestValidate:
         assert "MissingRequiredField" in capsys.readouterr().out
 
     def test_cataloged_record_validates_clean(self, tmp_path, capsys):
-        madman = make_systematic_name(
-            "person", who=["Max", "Madman"], when="1960-01-01", where="Cupertino"
+        madman = SystematicName(
+            kind="person", who=("Max", "Madman"), when="1960-01-01", where="Cupertino"
         )
         authors = Catalog(
             name=AUTHORS,
@@ -184,7 +183,7 @@ class TestValidate:
         )
         metabase_dir = tmp_path / "metabase"
         metabase_dir.mkdir()
-        (metabase_dir / "authors.catalog").write_bytes(dump_catalog(authors))
+        (metabase_dir / "authors.catalog").write_bytes(fixtures.dump_catalog(authors))
         path = write_sidecar(tmp_path / "doc.ums", full_record())
         code = main(
             ["--metabase", str(metabase_dir), "--strict", "validate", str(path)]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from ums.errors import UnknownSystem
@@ -76,6 +77,16 @@ class TestPmid:
         assert not validate_identifier("PMID", bad).valid
 
 
+#: pieces of an NSS: the characters RFC 2141 allows, ``%`` escapes
+#: whole, cut short or with a digit that is not hex, and characters it
+#: does not allow
+URN_NSS_PIECES = (
+    list("Az09()+,-.:=@;$_!*'")
+    + ["%", "%f", "%F", "%0", "%af", "%Fa", "%09", "%g0", "%0g", "%%"]
+    + list(" /?#\n\\é~G")
+)
+
+
 class TestUrn:
     def test_lexical_shape(self):
         assert validate_identifier("URN", "urn:isbn:0451450523").valid
@@ -88,17 +99,30 @@ class TestUrn:
     def test_bad_urns(self, bad):
         assert not validate_identifier("URN", bad).valid
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(
+            st.builds(
+                lambda scheme, nid, nss: f"{scheme}:{nid}:{nss}",
+                st.sampled_from(["urn", "URN", "uri", ""]),
+                st.sampled_from(["isbn", "ietf", "a-1", "urn", "", "-x", "n" * 33]),
+                st.lists(st.sampled_from(URN_NSS_PIECES), max_size=8).map("".join),
+            ),
+            st.text(max_size=12),
+        )
+    )
+    def test_matches_the_per_character_loop(self, value):
+        check = validate_identifier("URN", value)
+        assert (check.valid, check.reason) == oracles.check_urn_reference(value)
+
 
 class TestOtherSystems:
     def test_registered_without_bespoke_rule_needs_nonempty_only(self):
         assert validate_identifier("OCLC", "756372732").valid
+        assert validate_identifier("oclc", "756372732").valid  # tokens fold case
         assert validate_identifier("ISNI", "0000 0001 2103 2683").valid
         assert validate_identifier("PURL", " ").reason == "Empty"
 
     def test_unknown_system_raises(self):
         with pytest.raises(UnknownSystem):
             validate_identifier("ARK", "ark:/12025/654xz321")
-
-    def test_custom_registry_extends(self):
-        custom = ("DOI", "ISBN", "ARK")
-        assert validate_identifier("ARK", "ark:/12025/654xz321", custom).valid

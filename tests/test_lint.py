@@ -8,12 +8,7 @@ from ums.lint import (
     lint_record,
 )
 from ums.metabase import AUTHORS, Catalog, CatalogEntry, empty_metabase
-from ums.model import (
-    IdentifierBinding,
-    Subject,
-    UmsRecord,
-    make_systematic_name,
-)
+from ums.model import IdentifierBinding, Subject, SystematicName, UmsRecord
 
 
 def by_code(findings):
@@ -96,22 +91,16 @@ class TestLintRawGeneral:
         )
         assert base_codes <= {f.code for f in lint_raw(extended)}
 
-    def test_placeholder_list_is_configurable(self):
-        raw = RawMetadata(carrier="pdf", pairs=(("Author", "TODO"),), byte_size=1)
-        assert lint_raw(raw) == []
-        hits = lint_raw(raw, placeholders=("TODO",))
-        assert [f.code for f in hits] == ["PLACEHOLDER_VALUE"]
-
     def test_extraction_errors_are_info_findings_after_the_others(self):
         raw = RawMetadata(
             carrier="pdf",
-            pairs=(("Author", "TODO"),),
+            pairs=(("Author", "A"), ("Creator", "B")),
             byte_size=1,
             errors=("offset 9: unterminated string", "offset unknown for object 4"),
         )
-        findings = lint_raw(raw, placeholders=("TODO",))
+        findings = lint_raw(raw)
         assert [(f.code, f.severity, f.message) for f in findings] == [
-            ("PLACEHOLDER_VALUE", "warning", "Author holds the placeholder 'TODO'"),
+            ("AUTHOR_AMBIGUOUS", "warning", "author 'A' and creator 'B' disagree"),
             ("EXTRACT_PARTIAL", "info", "offset 9: unterminated string"),
             ("EXTRACT_PARTIAL", "info", "offset unknown for object 4"),
         ]
@@ -141,8 +130,8 @@ def full_record(**overrides) -> UmsRecord:
 
 
 def cataloged_metabase():
-    madman = make_systematic_name(
-        "person", who=["Max", "Madman"], when="1960-01-01", where="Cupertino"
+    madman = SystematicName(
+        kind="person", who=("Max", "Madman"), when="1960-01-01", where="Cupertino"
     )
     authors = Catalog(
         name=AUTHORS,
@@ -170,16 +159,6 @@ class TestLintRecord:
         findings = by_code(lint_record(record, cataloged_metabase()))
         assert "OCLC" in findings["SYSTEM_GAP"].message
 
-    def test_related_pairs_configurable(self):
-        record = full_record(
-            identifiers=(IdentifierBinding(system="DOI", id="10.1234/x"),)
-        )
-        assert "SYSTEM_GAP" not in by_code(lint_record(record, cataloged_metabase()))
-        findings = lint_record(
-            record, cataloged_metabase(), related_systems=(("DOI", "ISBN"),)
-        )
-        assert "SYSTEM_GAP" in by_code(findings)
-
     def test_empty_subjects_is_informational(self):
         record = full_record(subjects=())
         finding = by_code(lint_record(record, cataloged_metabase()))["EMPTY_SUBJECTS"]
@@ -200,3 +179,6 @@ class TestLintRecord:
 
     def test_default_related_pairs_cover_the_worldcat_pubmed_link(self):
         assert ("OCLC", "PMID") in DEFAULT_RELATED_SYSTEMS
+        # a system in no related pair leaves no gap
+        record = full_record(identifiers=(IdentifierBinding(system="DOI", id="10.1234/x"),))
+        assert "SYSTEM_GAP" not in by_code(lint_record(record, cataloged_metabase()))

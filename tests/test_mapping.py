@@ -13,7 +13,6 @@ from ums.errors import (
     NotPdf,
     NotSupported,
     RuleConflict,
-    UmsError,
 )
 from ums.extractors import (
     DEFAULT_MAPPING,
@@ -149,14 +148,6 @@ def test_no_rules_for_carrier_rejected():
         map_raw_to_ums(raw)
 
 
-def test_source_address_becomes_first_location(octology_pdf):
-    raw = extract_pdf_info(octology_pdf)
-    record, _ = map_raw_to_ums(
-        raw, source="http://www.enzymes.at/download/octology.pdf"
-    )
-    assert record.locations[0] == "http://www.enzymes.at/download/octology.pdf"
-
-
 def test_repeat_suffixed_keys_match_their_base_rule():
     raw = RawMetadata(
         carrier="pdf",
@@ -172,6 +163,23 @@ def test_format_value_with_trailing_line_feed_falls_back_to_carrier():
     raw = RawMetadata(carrier="pdf", pairs=(("FileType", "HTML\n"),), byte_size=1)
     record, _ = map_raw_to_ums(raw)
     assert record.formats == ("pdf",)
+
+
+def test_carrier_that_is_no_format_tag_gives_no_format():
+    table = load_mapping(b"ums-mapping: 1\n_tml.keywords -> tag\n_tml.type -> format\n")
+    raw = RawMetadata(carrier="_tml", pairs=(("keywords", "x"),), byte_size=1)
+    record, unmapped = map_raw_to_ums(raw, table)
+    assert (record.tags, record.formats, unmapped) == (("x",), (), ())
+    raw = RawMetadata(carrier="_tml", pairs=(("type", "not a tag"),), byte_size=1)
+    record, unmapped = map_raw_to_ums(raw, table)
+    assert (record.formats, unmapped) == ((), (("type", "not a tag"),))
+
+
+def test_carrier_name_is_shaped_as_a_format_tag():
+    table = load_mapping(b"ums-mapping: 1\nPDF.Title -> name\nPDF.Type -> format\n")
+    for pairs in ((("Title", "x"),), (("Type", "not a tag"),)):
+        record, _ = map_raw_to_ums(RawMetadata("PDF", pairs, 1), table)
+        assert record.formats == ("pdf",)
 
 
 def test_identifier_target_with_trailing_line_feed_rejected():
@@ -201,12 +209,6 @@ def test_values_equal_after_nfc_are_mapped_once():
     assert unmapped == ()
     with pytest.raises(InvariantViolation):  # the reference lets the duplicate through
         oracles.map_raw_to_ums_reference(raw, KEYWORDS_WHERE_TOPIC)
-
-
-def test_source_equal_to_a_location_after_nfc_is_mapped_once():
-    raw = RawMetadata(carrier="pdf", pairs=(("Where", ZOE_NFC),), byte_size=1)
-    record, _ = map_raw_to_ums(raw, KEYWORDS_WHERE_TOPIC, source=ZOE_NFD)
-    assert record.locations == (ZOE_NFC,)
 
 
 #: a rule for every target, per carrier; "Keywords" maps twice and the
@@ -265,19 +267,15 @@ _pair = st.tuples(
 
 
 @settings(max_examples=400, deadline=None)
-@given(
-    st.sampled_from(["pdf", "html"]),
-    st.lists(_pair, max_size=12),
-    st.one_of(st.none(), _value),
-)
-def test_mapping_matches_the_reference_wherever_it_returns(carrier, pairs, source):
+@given(st.sampled_from(["pdf", "html"]), st.lists(_pair, max_size=12))
+def test_mapping_matches_the_reference_wherever_it_returns(carrier, pairs):
     raw = RawMetadata(carrier=carrier, pairs=tuple(pairs), byte_size=1)
-    record, unmapped = map_raw_to_ums(raw, EVERY_TARGET, source=source)
+    record, unmapped = map_raw_to_ums(raw, EVERY_TARGET)
     # every pair is mapped or unmapped: the unmapped ones, in order
     remaining = iter(raw.pairs)
     assert all(pair in remaining for pair in unmapped)
     try:
-        expected = oracles.map_raw_to_ums_reference(raw, EVERY_TARGET, source=source)
+        expected = oracles.map_raw_to_ums_reference(raw, EVERY_TARGET)
     except InvariantViolation:
         return  # a duplicate the reference let through; the mapping returned
     assert (record, unmapped) == expected
@@ -348,7 +346,12 @@ def _mutated_mapping(draw):
 def test_hostile_mapping_tables_raise_only_ums_errors(data):
     try:
         table = load_mapping(data)
-        for rule in table.rules:  # a table that loads maps its own keys
-            map_raw_to_ums(RawMetadata(rule.carrier, ((rule.key, "2011-03-01"),), 0), table)
-    except UmsError:
-        pass
+    except MappingError:
+        return
+    # a table that loads maps its own keys, raising nothing but MappingError
+    for rule in table.rules:
+        for value in ("2011-03-01", "pdf", "x y"):
+            try:
+                map_raw_to_ums(RawMetadata(rule.carrier, ((rule.key, value),), 0), table)
+            except MappingError:
+                pass

@@ -6,7 +6,7 @@ import tempfile
 import unicodedata
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fixtures
 import oracles
@@ -16,22 +16,21 @@ from ums.metabase import (
     Catalog,
     CatalogEntry,
     Metabase,
-    dump_catalog,
     empty_metabase,
     load_catalog,
     load_metabase,
     resolve,
 )
-from ums.model import SystematicName, make_systematic_name
+from ums.model import SystematicName
 
-ANDREI_ONE = make_systematic_name(
-    "person", who=["Андрей", "Иванов"], when="1980-06-15", where="Москва"
+ANDREI_ONE = SystematicName(
+    kind="person", who=("Андрей", "Иванов"), when="1980-06-15", where="Москва"
 )
-ANDREI_TWO = make_systematic_name(
-    "person", who=["Андрей", "Петров"], when="1975-02-02", where="Киев"
+ANDREI_TWO = SystematicName(
+    kind="person", who=("Андрей", "Петров"), when="1975-02-02", where="Киев"
 )
-GRACE = make_systematic_name(
-    "person", who=["Grace", "Hopper"], when="1906-12-09", where="New York"
+GRACE = SystematicName(
+    kind="person", who=("Grace", "Hopper"), when="1906-12-09", where="New York"
 )
 
 
@@ -77,7 +76,7 @@ class TestLoadCatalog:
 
     def test_dump_round_trips(self):
         catalog = small_catalog()
-        assert load_catalog(dump_catalog(catalog)) == catalog
+        assert load_catalog(fixtures.dump_catalog(catalog)) == catalog
 
 
 class TestResolve:
@@ -100,8 +99,40 @@ class TestResolve:
         assert resolve(small_catalog(), "nobody").kind == "none"
 
 
+#: who-parts made of the characters escaping writes as a backslash pair
+#: (``\n`` for a line feed), a bare ``n``, and marks that compose with an
+#: ``n`` under NFC
+NFC_WHO_PART = st.text(
+    alphabet=["\n", "\\", "|", ",", "n", "\u0301", "\u0303", "\u030c", "\u0327"],
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestResolveUnderNfc:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(NFC_WHO_PART, min_size=1, max_size=3), min_size=1, max_size=4))
+    @example([["a\n\u0301"]])  # the escaped n and the acute compose
+    def test_canonical_and_its_nfc_form_resolve_exact(self, whos):
+        names = []
+        for who in whos:
+            name = SystematicName(kind="person", who=tuple(who))
+            if name not in names:
+                names.append(name)
+        # distinct names never clash, even on the NFC forms of their strings
+        catalog = Catalog(AUTHORS, tuple(CatalogEntry(name) for name in names))
+        for source in (catalog, load_catalog(fixtures.dump_catalog(catalog))):
+            for entry in source.entries:
+                for query in (entry.canonical, unicodedata.normalize("NFC", entry.canonical)):
+                    got = resolve(source, query)
+                    assert got.kind == "exact", query
+                    assert got.entry is entry, query
+
+
 #: who-parts and synonyms with composed letters, so NFD spellings differ
-_WORDS = ("José", "Zoë", "Андрей", "Grace", "Hopper", "a|b", "x\\y", "Ångström", "li")
+_WORDS = (
+    "José", "Zoë", "Андрей", "Grace", "Hopper", "a|b", "x\\y", "Ångström", "li", "a\n\u0301",
+)
 
 
 def random_catalog(rng: random.Random) -> Catalog:
@@ -147,8 +178,8 @@ class TestResolveMatchesScan:
 
 class TestRegister:
     def test_new_organization_grows_catalog(self):
-        org = make_systematic_name(
-            "organization", who=["Acme"], when="1990-01-01", where="Berlin"
+        org = SystematicName(
+            kind="organization", who=("Acme",), when="1990-01-01", where="Berlin"
         )
         catalog = small_catalog()
         grown = Catalog(catalog.name, catalog.entries + (CatalogEntry(systematic_name=org),))
@@ -163,8 +194,8 @@ class TestRegister:
     def test_synonym_colliding_with_canonical_rejected(self):
         catalog = small_catalog()
         newcomer = CatalogEntry(
-            systematic_name=make_systematic_name(
-                "person", who=["Ada", "Lovelace"], when="1815-12-10", where="London"
+            systematic_name=SystematicName(
+                kind="person", who=("Ada", "Lovelace"), when="1815-12-10", where="London"
             ),
             synonyms=(GRACE.canonical,),
         )
@@ -219,18 +250,20 @@ class TestMetabase:
             b"catalog: systems\n"
             b"entry: other:ARXIV||\n"
             b"entry: other:DOI||\n"  # duplicate of a built-in; skipped
+            b"entry: other:Ark||\n"
         )
         (tmp_path / "systems.catalog").write_bytes(extra)
         metabase = load_metabase(tmp_path)
         assert metabase.is_registered_system("ARXIV")
+        assert metabase.is_registered_system("ARK")  # tokens fold case
         assert metabase.is_registered_system("DOI")
 
     def test_same_name_catalogs_merge_in_file_order(self, tmp_path):
         """Two files of one catalog: the second adds what the first lacks,
         in its own order, and skips the canonical strings already there,
         as appending its entries one by one would."""
-        ada = make_systematic_name(
-            "person", who=["Ada", "Lovelace"], when="1815-12-10", where="London"
+        ada = SystematicName(
+            kind="person", who=("Ada", "Lovelace"), when="1815-12-10", where="London"
         )
         first = Catalog(
             name=AUTHORS,
@@ -248,8 +281,8 @@ class TestMetabase:
                 CatalogEntry(systematic_name=ANDREI_ONE),
             ),
         )
-        (tmp_path / "a-authors.catalog").write_bytes(dump_catalog(first))
-        (tmp_path / "b-authors.catalog").write_bytes(dump_catalog(second))
+        (tmp_path / "a-authors.catalog").write_bytes(fixtures.dump_catalog(first))
+        (tmp_path / "b-authors.catalog").write_bytes(fixtures.dump_catalog(second))
         expected = first
         for entry in second.entries:
             if entry.canonical not in {e.canonical for e in expected.entries}:
@@ -275,8 +308,8 @@ class TestMetabase:
             plain, clashing = clashing, plain
         first = Catalog(name=AUTHORS, entries=(plain,))
         second = Catalog(name=AUTHORS, entries=(clashing,))
-        (tmp_path / "a.catalog").write_bytes(dump_catalog(first))
-        (tmp_path / "b.catalog").write_bytes(dump_catalog(second))
+        (tmp_path / "a.catalog").write_bytes(fixtures.dump_catalog(first))
+        (tmp_path / "b.catalog").write_bytes(fixtures.dump_catalog(second))
         with pytest.raises(DuplicateEntry):
             load_metabase(tmp_path)
 

@@ -11,7 +11,6 @@ from ums.model import (
     Subject,
     SystematicName,
     UmsRecord,
-    make_systematic_name,
     parse_systematic_name,
 )
 
@@ -24,51 +23,41 @@ WHO_PART = st.one_of(
 
 
 class TestSystematicName:
-    def test_bare_given_name_is_rejected_in_strict_scope(self):
-        with pytest.raises(MissingComponent):
-            make_systematic_name("person", who=["Андрей"], scope="strict")
-
     def test_full_person_name_is_accepted(self):
-        name = make_systematic_name(
-            "person",
-            who=["Андрей", "Иванов"],
+        name = SystematicName(
+            kind="person",
+            who=("Андрей", "Иванов"),
             when="1980-06-15",
             where="Москва",
         )
         assert name.canonical == "person:Андрей\\,Иванов|1980-06-15|Москва"
 
     def test_same_inputs_give_byte_identical_strings(self):
-        build = lambda: make_systematic_name(
-            "person", who=["Grace", "Hopper"], when="1906-12-09", where="New York"
+        build = lambda: SystematicName(
+            kind="person", who=("Grace", "Hopper"), when="1906-12-09", where="New York"
         )
         assert build().canonical.encode() == build().canonical.encode()
 
-    def test_local_scope_allows_a_bare_name(self):
-        name = make_systematic_name("person", who=["Андрей"], scope="local")
+    def test_bare_name_is_accepted(self):
+        name = SystematicName(kind="person", who=("Андрей",))
         assert name.canonical == "person:Андрей||"
-
-    def test_organization_needs_founding_date_and_place(self):
         with pytest.raises(MissingComponent):
-            make_systematic_name("organization", who=["Acme"], where="Berlin")
-        name = make_systematic_name(
-            "organization", who=["Acme"], when="1990-01-01", where="Berlin"
-        )
-        assert name.when == "1990-01-01"
+            SystematicName(kind="person", who=())
 
     def test_qualifier_must_be_digits(self):
         with pytest.raises(InvariantViolation):
-            make_systematic_name(
-                "person",
-                who=["A", "B"],
+            SystematicName(
+                kind="person",
+                who=("A", "B"),
                 when="1980-01-01",
                 where="X",
                 qualifier="abc",
             )
 
     def test_canonical_round_trips_through_parse(self):
-        name = make_systematic_name(
-            "person",
-            who=["Tricky|part", "with\\backslash"],
+        name = SystematicName(
+            kind="person",
+            who=("Tricky|part", "with\\backslash"),
             when="1999-09-09",
             where="Some|where",
             qualifier="42",

@@ -6,11 +6,11 @@ from ums.metabase import (
     CatalogEntry,
     empty_metabase,
 )
-from ums.model import IdentifierBinding, Subject, UmsRecord, make_systematic_name
+from ums.model import IdentifierBinding, Subject, SystematicName, UmsRecord
 from ums.validation import validate_record
 
-MADMAN = make_systematic_name(
-    "person", who=["Max", "Madman"], when="1960-01-01", where="Cupertino"
+MADMAN = SystematicName(
+    kind="person", who=("Max", "Madman"), when="1960-01-01", where="Cupertino"
 )
 
 
