@@ -190,8 +190,7 @@ def cmd_validate(args) -> int:
 
     record = parse_record(_read(args.path), LENIENT)
     metabase = _load_metabase(args) or empty_metabase()
-    mode = "strict" if args.strict else "lenient"
-    report = validate_record(record, metabase, mode)
+    report = validate_record(record, metabase, STRICT if args.strict else LENIENT)
     for violation in report.violations:
         print(str(violation))
     return EXIT_CLEAN if report.ok else EXIT_FINDINGS

@@ -68,6 +68,7 @@ class BrokenChain(UmsError):
     def __init__(self, seq: int, message: str):
         super().__init__(f"history broken at seq {seq}: {message}")
         self.seq = seq
+        self.detail = message
 
 
 class NotPdf(UmsError):

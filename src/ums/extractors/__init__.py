@@ -19,18 +19,16 @@ class RawMetadata(Value):
     what best-effort extraction had to skip.
     """
 
-    __slots__ = _fields = ("carrier", "pairs", "byte_size", "errors")
+    __slots__ = _fields = ("carrier", "pairs", "errors")
 
     def __init__(
         self,
         carrier: str,
         pairs: tuple[tuple[str, str], ...],
-        byte_size: int,
         errors: tuple[str, ...] = (),
     ):
         set_slot(self, "carrier", carrier)
         set_slot(self, "pairs", pairs)
-        set_slot(self, "byte_size", byte_size)
         set_slot(self, "errors", errors)
 
 

@@ -62,6 +62,4 @@ def extract_html_meta(data: bytes) -> RawMetadata:
     for key, value in scanner.events:
         builder.add(key, value)
     builder.add("FileSize", str(len(data)))
-    return RawMetadata(
-        carrier=CARRIER_HTML, pairs=builder.pairs(), byte_size=len(data)
-    )
+    return RawMetadata(carrier=CARRIER_HTML, pairs=builder.pairs())

@@ -403,6 +403,4 @@ def extract_pdf_info(data: bytes) -> RawMetadata:
 
     _extract_xmp(data, builder)
 
-    return RawMetadata(
-        carrier=CARRIER_PDF, pairs=builder.pairs(), byte_size=len(data), errors=tuple(errors)
-    )
+    return RawMetadata(carrier=CARRIER_PDF, pairs=builder.pairs(), errors=tuple(errors))

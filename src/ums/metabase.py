@@ -73,36 +73,19 @@ class Catalog(Value):
 
 
 class Resolution(Value):
-    """Outcome of a resolve query: exact hit, candidates, or nothing."""
+    """Outcome of a resolve query: an exact hit, or nothing."""
 
-    __slots__ = _fields = ("kind", "entry", "candidates")
+    __slots__ = _fields = ("kind", "entry")
 
-    def __init__(
-        self,
-        kind: str,  # "exact" | "candidates" | "none"
-        entry: Optional[CatalogEntry] = None,
-        candidates: tuple[CatalogEntry, ...] = (),
-    ):
-        set_slot(self, "kind", kind)
+    def __init__(self, kind: str, entry: Optional[CatalogEntry] = None):
+        set_slot(self, "kind", kind)  # "exact" | "none"
         set_slot(self, "entry", entry)
-        set_slot(self, "candidates", candidates)
 
 
 def resolve(catalog: Catalog, query: str) -> Resolution:
-    """Exact match on canonical string or synonym wins; otherwise every
-    entry whose who-part contains the query becomes a candidate, ordered
-    by canonical string."""
-    query = nfc(query)
-    entry = catalog.exact.get(query)
-    if entry is not None:
-        return Resolution(kind="exact", entry=entry)
-    candidates = [
-        entry for entry in catalog.entries if query in entry.systematic_name.who
-    ]
-    if candidates:
-        candidates.sort(key=lambda e: e.canonical)
-        return Resolution(kind="candidates", candidates=tuple(candidates))
-    return Resolution(kind="none")
+    """The entry whose canonical string or synonym is *query*, after NFC."""
+    entry = catalog.exact.get(nfc(query))
+    return Resolution("none") if entry is None else Resolution("exact", entry)
 
 
 def load_catalog(data: bytes) -> Catalog:
@@ -182,10 +165,6 @@ class Metabase(Value):
     def get(self, name: str) -> Optional[Catalog]:
         return self.by_name.get(name)
 
-    def with_catalog(self, catalog: Catalog) -> "Metabase":
-        kept = tuple(c for c in self.catalogs if c.name != catalog.name)
-        return Metabase(catalogs=kept + (catalog,))
-
     def is_registered_system(self, token: str) -> bool:
         return token.upper() in self.system_set
 
@@ -202,20 +181,18 @@ def load_metabase(directory: Union[str, os.PathLike]) -> Metabase:
     canonical string is already present are skipped rather than
     rejected, so shipping DOI again is harmless.
     """
-    base = empty_metabase()
+    catalogs = {SYSTEMS: builtin_systems_catalog()}
     paths = sorted(
         p for p in os.listdir(directory) if p.endswith(".catalog")
     )
     for relative in paths:
         with open(os.path.join(directory, relative), "rb") as handle:
             loaded = load_catalog(handle.read())
-        existing = base.get(loaded.name)
-        if existing is None:
-            base = base.with_catalog(loaded)
-            continue
-        present = {entry.canonical for entry in existing.entries}
-        fresh = tuple(e for e in loaded.entries if e.canonical not in present)
-        base = base.with_catalog(
-            Catalog(name=existing.name, entries=existing.entries + fresh)
-        )
-    return base
+        # a merged catalog moves last, as a freshly loaded one does
+        existing = catalogs.pop(loaded.name, None)
+        if existing is not None:
+            present = {entry.canonical for entry in existing.entries}
+            fresh = tuple(e for e in loaded.entries if e.canonical not in present)
+            loaded = Catalog(name=existing.name, entries=existing.entries + fresh)
+        catalogs[loaded.name] = loaded
+    return Metabase(catalogs=tuple(catalogs.values()))

@@ -139,32 +139,21 @@ class VerifyResult(Value):
         set_slot(self, "detail", detail)
 
 
-class _Inconsistent(Exception):
-    def __init__(self, seq: int, detail: str):
-        super().__init__(detail)
-        self.seq = seq
-        self.detail = detail
-
-
 def _reconstruct_original(final: tuple, contributions: list) -> tuple:
     """Find the creation-time list consistent with the recorded events.
 
     Events only ever append, so the original is some prefix of the final
     list; the shortest prefix that replays to the final list wins
-    (attributing as much as possible to recorded events).  A recorded
-    value missing from the final list raises _Inconsistent at its seq.
-    Otherwise each split is replayed against the positions in the final
-    list, which holds no duplicates: a value before the split end is a
-    skipped duplicate, a value at the split end extends it, and any
-    other value diverges.  The whole list always replays.
+    (attributing as much as possible to recorded events).  Every
+    contribution is in the final list, which holds no duplicates, so each
+    split is replayed against positions in it: a value before the split
+    end is a skipped duplicate, a value at the split end extends it, and
+    any other value diverges.  The whole list always replays.
     """
     position = {value: at for at, value in enumerate(final)}
-    for seq, value in contributions:
-        if value not in position:
-            raise _Inconsistent(seq, "derived values do not match recorded events")
     for split in range(len(final)):
         end = split
-        for _, value in contributions:
+        for value in contributions:
             at = position[value]
             if at == end:
                 end += 1
@@ -176,72 +165,52 @@ def _reconstruct_original(final: tuple, contributions: list) -> tuple:
     return final
 
 
-def _original_fields(record: UmsRecord) -> dict[str, tuple]:
-    """Original value of every derived list, or raise _Inconsistent at the
-    lowest seq that breaks any of them."""
-    contributions: dict[str, list] = {field: [] for field, _ in _DERIVED.values()}
-    malformed: dict[str, _Inconsistent] = {}
-    for event in record.history:
-        if event.kind not in _DERIVED:
-            continue
-        field = _DERIVED[event.kind][0]
-        if field in malformed:
-            continue
-        try:
-            _, value = _derived(event.kind, event.payload)
-        except MalformedPayload as exc:
-            malformed[field] = _Inconsistent(event.seq, str(exc))
-            continue
-        contributions[field].append((event.seq, value))
-    out: dict[str, tuple] = {}
-    broken: list[_Inconsistent] = []
-    for field, values in contributions.items():
-        try:
-            # an earlier value missing from the list breaks before a
-            # malformed payload
-            out[field] = _reconstruct_original(getattr(record, field), values)
-            if field in malformed:
-                raise malformed[field]
-        except _Inconsistent as exc:
-            broken.append(exc)
-    if broken:
-        raise min(broken, key=lambda exc: exc.seq)
-    return out
-
-
-def _replay(record: UmsRecord) -> dict[str, tuple]:
-    """Check the digest chain of a non-empty history, then replay it;
-    the original derived lists, or raise _Inconsistent at the first break."""
+def _replay(record: UmsRecord) -> dict[str, list]:
+    """Check a non-empty history: the genesis, the digest chain, then each
+    event's derived value against its record list.  Returns the values
+    each list got from events, in seq order, or raises BrokenChain at the
+    first break.  As events only append, the whole final list always
+    replays, so a malformed payload or a value missing from its list is
+    the only way the derived lists can break."""
     history = record.history
     genesis = history[0]
     if genesis.kind != "create":
-        raise _Inconsistent(0, "first event is not create")
+        raise BrokenChain(0, "first event is not create")
     if genesis.payload != "":
-        raise _Inconsistent(0, "create event carries a payload")
+        raise BrokenChain(0, "create event carries a payload")
     if genesis.prev != GENESIS_PREV:
-        raise _Inconsistent(0, "genesis prev is not all zeros")
+        raise BrokenChain(0, "genesis prev is not all zeros")
     if record.date is not None and genesis.timestamp != record.date:
-        raise _Inconsistent(0, "create timestamp differs from record date")
+        raise BrokenChain(0, "create timestamp differs from record date")
 
     for i in range(1, len(history)):
         if history[i].kind == "create":
-            raise _Inconsistent(history[i].seq, "create after genesis")
+            raise BrokenChain(history[i].seq, "create after genesis")
         expected = event_digest(history[i - 1])
         if history[i].prev != expected:
-            raise _Inconsistent(
-                history[i].seq, f"prev digest mismatch (expected {expected})"
-            )
-    return _original_fields(record)
+            raise BrokenChain(history[i].seq, f"prev digest mismatch (expected {expected})")
+
+    present = {field: set(getattr(record, field)) for field, _ in _DERIVED.values()}
+    contributions: dict[str, list] = {field: [] for field in present}
+    for event in history[1:]:
+        try:
+            field, value = _derived(event.kind, event.payload)
+        except MalformedPayload as exc:
+            raise BrokenChain(event.seq, str(exc)) from None
+        if value not in present[field]:
+            raise BrokenChain(event.seq, "derived values do not match recorded events")
+        contributions[field].append(value)
+    return contributions
 
 
 def verify_history(record: UmsRecord) -> VerifyResult:
-    """Recompute the digest chain and replay consistency; report first break."""
+    """Check the digest chain and the derived lists; report the first break."""
     history = record.history
     if not history:
         return VerifyResult(ok=True, chain_length=0)
     try:
         _replay(record)
-    except _Inconsistent as exc:
+    except BrokenChain as exc:
         return VerifyResult(False, len(history), exc.seq, exc.detail)
     return VerifyResult(ok=True, chain_length=len(history))
 
@@ -250,8 +219,8 @@ def original_view(record: UmsRecord) -> UmsRecord:
     """The record as of its create event, with derived appends removed."""
     if not record.history:
         return record
-    try:
-        originals = _replay(record)
-    except _Inconsistent as exc:
-        raise BrokenChain(exc.seq, exc.detail) from None
+    originals = {
+        field: _reconstruct_original(getattr(record, field), values)
+        for field, values in _replay(record).items()
+    }
     return replace(record, history=record.history[:1], **originals)

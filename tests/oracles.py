@@ -225,20 +225,13 @@ def display_reference(value: str) -> Optional[str]:
 
 def resolve_reference(catalog, query: str):
     """Scan every entry in order for an exact hit on the NFC form of its
-    canonical string or on a synonym; otherwise collect who-part matches
-    sorted by canonical string.  Returns ``(kind, entry, candidates)``."""
+    canonical string or on a synonym.  Returns ``(kind, entry)``."""
     query = unicodedata.normalize("NFC", query)
     for entry in catalog.entries:
         canonical = unicodedata.normalize("NFC", entry.systematic_name.canonical)
         if canonical == query or query in entry.synonyms:
-            return ("exact", entry, ())
-    candidates = [
-        entry for entry in catalog.entries if query in entry.systematic_name.who
-    ]
-    if candidates:
-        candidates.sort(key=lambda e: e.systematic_name.canonical)
-        return ("candidates", None, tuple(candidates))
-    return ("none", None, ())
+            return ("exact", entry)
+    return ("none", None)
 
 
 class InconsistentReference(Exception):
@@ -784,6 +777,5 @@ def extract_pdf_info_reference(data: bytes) -> RawMetadata:
     return RawMetadata(
         carrier=CARRIER_PDF,
         pairs=builder.pairs(),
-        byte_size=len(data),
         errors=tuple(errors),
     )

@@ -92,7 +92,6 @@ def test_criterion_2_lint_parity(octology_pdf):
         extended = RawMetadata(
             carrier=raw.carrier,
             pairs=raw.pairs + (("DOI", "details/Octology"),),
-            byte_size=raw.byte_size,
         )
         extended_codes = [f.code for f in lint_raw(extended)]
         assert extended_codes == [f.code for f in findings] + ["IDENTIFIER_INVALID"]

@@ -55,7 +55,6 @@ class TestOctologyFixture:
     def test_file_size_is_byte_count(self, octology_pdf):
         raw = extract_pdf_info(octology_pdf)
         assert pairs_dict(raw)["FileSize"] == str(len(octology_pdf))
-        assert raw.byte_size == len(octology_pdf)
 
     def test_clean_extraction_records_no_errors(self, octology_pdf):
         assert extract_pdf_info(octology_pdf).errors == ()

@@ -7,7 +7,7 @@ from ums.lint import (
     lint_raw,
     lint_record,
 )
-from ums.metabase import AUTHORS, Catalog, CatalogEntry, empty_metabase
+from ums.metabase import AUTHORS, Catalog, CatalogEntry, Metabase, builtin_systems_catalog
 from ums.model import IdentifierBinding, Subject, SystematicName, UmsRecord
 
 
@@ -51,7 +51,6 @@ class TestLintRawOnOctology:
         extended = RawMetadata(
             carrier=raw.carrier,
             pairs=raw.pairs + (("DOI", "details/Octology"),),
-            byte_size=raw.byte_size,
         )
         before = [f.code for f in lint_raw(raw)]
         after = [f.code for f in lint_raw(extended)]
@@ -71,7 +70,6 @@ class TestLintRawGeneral:
                 ("ModifyDate", "2012:06:07 10:00:00Z"),
                 ("Author", "Somebody"),
             ),
-            byte_size=1,
         )
         assert lint_raw(raw) == []
 
@@ -87,7 +85,6 @@ class TestLintRawGeneral:
         extended = RawMetadata(
             carrier=raw.carrier,
             pairs=raw.pairs + (("Subject", "metadata"),),
-            byte_size=raw.byte_size,
         )
         assert base_codes <= {f.code for f in lint_raw(extended)}
 
@@ -95,7 +92,6 @@ class TestLintRawGeneral:
         raw = RawMetadata(
             carrier="pdf",
             pairs=(("Author", "A"), ("Creator", "B")),
-            byte_size=1,
             errors=("offset 9: unterminated string", "offset unknown for object 4"),
         )
         findings = lint_raw(raw)
@@ -137,7 +133,7 @@ def cataloged_metabase():
         name=AUTHORS,
         entries=(CatalogEntry(systematic_name=madman, synonyms=("Max Madman",)),),
     )
-    return empty_metabase().with_catalog(authors)
+    return Metabase((builtin_systems_catalog(), authors))
 
 
 class TestLintRecord:

@@ -73,7 +73,7 @@ class TestPubmedMapping:
 
 
 def test_empty_raw_maps_to_empty_partial_record():
-    raw = RawMetadata(carrier="pdf", pairs=(), byte_size=0)
+    raw = RawMetadata(carrier="pdf", pairs=())
     record, unmapped = map_raw_to_ums(raw)
     assert unmapped == ()
     assert record.name == ""
@@ -98,7 +98,6 @@ def test_undecodable_date_passes_through_unmapped():
     raw = RawMetadata(
         carrier="pdf",
         pairs=(("CreateDate", "sometime in march"),),
-        byte_size=10,
     )
     record, unmapped = map_raw_to_ums(raw)
     assert record.date is None
@@ -131,7 +130,6 @@ def test_mapping_table_loads_from_file_format():
     raw = RawMetadata(
         carrier="html",
         pairs=(("citation_doi", "10.1234/abc"),),
-        byte_size=1,
     )
     record, unmapped = map_raw_to_ums(raw, table)
     assert record.identifiers == (IdentifierBinding(system="DOI", id="10.1234/abc"),)
@@ -143,7 +141,7 @@ def test_missing_header_rejected():
 
 
 def test_no_rules_for_carrier_rejected():
-    raw = RawMetadata(carrier="sidecar", pairs=(), byte_size=0)
+    raw = RawMetadata(carrier="sidecar", pairs=())
     with pytest.raises(MappingError):
         map_raw_to_ums(raw)
 
@@ -152,7 +150,6 @@ def test_repeat_suffixed_keys_match_their_base_rule():
     raw = RawMetadata(
         carrier="pdf",
         pairs=(("Title", "first"), ("Title (1)", "second")),
-        byte_size=1,
     )
     record, unmapped = map_raw_to_ums(raw)
     assert record.name == "first"
@@ -160,17 +157,17 @@ def test_repeat_suffixed_keys_match_their_base_rule():
 
 
 def test_format_value_with_trailing_line_feed_falls_back_to_carrier():
-    raw = RawMetadata(carrier="pdf", pairs=(("FileType", "HTML\n"),), byte_size=1)
+    raw = RawMetadata(carrier="pdf", pairs=(("FileType", "HTML\n"),))
     record, _ = map_raw_to_ums(raw)
     assert record.formats == ("pdf",)
 
 
 def test_carrier_that_is_no_format_tag_gives_no_format():
     table = load_mapping(b"ums-mapping: 1\n_tml.keywords -> tag\n_tml.type -> format\n")
-    raw = RawMetadata(carrier="_tml", pairs=(("keywords", "x"),), byte_size=1)
+    raw = RawMetadata(carrier="_tml", pairs=(("keywords", "x"),))
     record, unmapped = map_raw_to_ums(raw, table)
     assert (record.tags, record.formats, unmapped) == (("x",), (), ())
-    raw = RawMetadata(carrier="_tml", pairs=(("type", "not a tag"),), byte_size=1)
+    raw = RawMetadata(carrier="_tml", pairs=(("type", "not a tag"),))
     record, unmapped = map_raw_to_ums(raw, table)
     assert (record.formats, unmapped) == ((), (("type", "not a tag"),))
 
@@ -201,7 +198,7 @@ def test_values_equal_after_nfc_are_mapped_once():
     pairs = []
     for key in ("Keywords", "Where", "Topic"):
         pairs += [(key, ZOE_NFC), (f"{key} (1)", ZOE_NFD)]
-    raw = RawMetadata(carrier="pdf", pairs=tuple(pairs), byte_size=1)
+    raw = RawMetadata(carrier="pdf", pairs=tuple(pairs))
     record, unmapped = map_raw_to_ums(raw, KEYWORDS_WHERE_TOPIC)
     assert record.tags == (ZOE_NFC,)
     assert record.locations == (ZOE_NFC,)
@@ -269,7 +266,7 @@ _pair = st.tuples(
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(["pdf", "html"]), st.lists(_pair, max_size=12))
 def test_mapping_matches_the_reference_wherever_it_returns(carrier, pairs):
-    raw = RawMetadata(carrier=carrier, pairs=tuple(pairs), byte_size=1)
+    raw = RawMetadata(carrier=carrier, pairs=tuple(pairs))
     record, unmapped = map_raw_to_ums(raw, EVERY_TARGET)
     # every pair is mapped or unmapped: the unmapped ones, in order
     remaining = iter(raw.pairs)

@@ -13,6 +13,8 @@ import oracles
 from ums.errors import DuplicateEntry, SidecarSyntaxError, UmsError
 from ums.metabase import (
     AUTHORS,
+    ORGANIZATIONS,
+    SYSTEMS,
     Catalog,
     CatalogEntry,
     Metabase,
@@ -80,12 +82,9 @@ class TestLoadCatalog:
 
 
 class TestResolve:
-    def test_shared_given_name_yields_candidates(self):
+    def test_who_part_alone_is_none(self):
         resolution = resolve(small_catalog(), "Андрей")
-        assert resolution.kind == "candidates"
-        canonicals = [e.canonical for e in resolution.candidates]
-        assert canonicals == sorted(canonicals)
-        assert len(resolution.candidates) == 2
+        assert (resolution.kind, resolution.entry) == ("none", None)
 
     def test_canonical_string_is_exact(self):
         resolution = resolve(small_catalog(), GRACE.canonical)
@@ -162,7 +161,7 @@ class TestResolveMatchesScan:
     def test_resolve_equals_linear_scan(self, seed):
         rng = random.Random(seed)
         catalog = random_catalog(rng)
-        queries = ["nobody", "", "Zo", "José Zoë"]
+        queries = ["nobody", "", "Zo", "José Zoë"]  # who-parts alone never hit
         for entry in catalog.entries:
             queries.append(entry.canonical)
             queries.extend(entry.synonyms)
@@ -170,10 +169,9 @@ class TestResolveMatchesScan:
         queries += [unicodedata.normalize("NFD", q) for q in queries]
         for query in queries:
             got = resolve(catalog, query)
-            kind, entry, candidates = oracles.resolve_reference(catalog, query)
+            kind, entry = oracles.resolve_reference(catalog, query)
             assert got.kind == kind, query
             assert got.entry is entry, query
-            assert [id(e) for e in got.candidates] == [id(e) for e in candidates]
 
 
 class TestRegister:
@@ -287,7 +285,14 @@ class TestMetabase:
         for entry in second.entries:
             if entry.canonical not in {e.canonical for e in expected.entries}:
                 expected = Catalog(expected.name, expected.entries + (entry,))
-        merged = load_metabase(tmp_path).get(AUTHORS)
+        (tmp_path / "c-organizations.catalog").write_bytes(
+            b"metabase-catalog: 1\ncatalog: organizations\n"
+        )
+        (tmp_path / "d-authors.catalog").write_bytes(fixtures.dump_catalog(second))
+        metabase = load_metabase(tmp_path)
+        # each merge moves the catalog last, after the ones loaded before it
+        assert [c.name for c in metabase.catalogs] == [SYSTEMS, ORGANIZATIONS, AUTHORS]
+        merged = metabase.get(AUTHORS)
         assert merged == expected
         assert [e.canonical for e in merged.entries] == [
             GRACE.canonical,

@@ -9,10 +9,9 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import recgen
 from ums import provenance
-from ums.errors import BrokenChain, MalformedPayload
+from ums.errors import BrokenChain, MalformedPayload, UmsError
 from ums.model import GENESIS_PREV, IdentifierBinding, ProvenanceEvent, UmsRecord
 from ums.provenance import (
-    _Inconsistent,
     _reconstruct_original,
     apply_event,
     event_digest,
@@ -216,13 +215,13 @@ class TestOriginalView:
 
     def test_replays_the_history_once(self, monkeypatch):
         calls = []
-        replay = provenance._original_fields
+        replay = provenance._replay
 
         def counted(record):
             calls.append(record)
             return replay(record)
 
-        monkeypatch.setattr(provenance, "_original_fields", counted)
+        monkeypatch.setattr(provenance, "_replay", counted)
         record = apply_event(octology(), "rename", "AAA", "2012-01-01T00:00:00Z")
         original_view(record)
         assert len(calls) == 1
@@ -260,6 +259,13 @@ def test_two_broken_lists_blame_the_lowest_seq():
     assert excinfo.value.seq == 1
 
 
+def test_malformed_final_payload_is_blamed_with_its_reason():
+    record = apply_event(octology(), "reformat", "html", "2012-01-01T00:00:00Z")
+    data = canonical_serialize(record).replace(b"|reformat|html|", b"|reformat|HT ML|")
+    result = verify_history(parse_record(data))
+    assert (result.ok, result.broken_at, result.detail) == (False, 1, "bad format tag: 'ht ml'")
+
+
 def test_missing_value_before_a_malformed_payload_is_blamed_first():
     record = apply_event(octology(), "rename", "AAA", "2012-01-01T00:00:00Z")
     record = apply_event(record, "rename", "BBB", "2012-01-02T00:00:00Z")
@@ -268,6 +274,7 @@ def test_missing_value_before_a_malformed_payload_is_blamed_first():
     assert verify_history(tampered).broken_at == 1
 
 
+_MISMATCH = "derived values do not match recorded events"
 _REPLAY_VALUES = ("a", "b", "c", "d", "e", "f")
 
 
@@ -295,15 +302,98 @@ def replay_cases(draw):
 @settings(max_examples=500, deadline=None)
 @given(replay_cases())
 def test_reconstruct_original_matches_reference(case):
+    """Contributions that are all in the list give the reference's
+    original; otherwise the reference blames the first one missing, which
+    is what verification reports before any original is rebuilt."""
     final, contributions = case
     try:
         expected = oracles.reconstruct_original_reference(final, contributions)
     except oracles.InconsistentReference as exc:
-        with pytest.raises(_Inconsistent) as excinfo:
-            _reconstruct_original(final, contributions)
-        assert (excinfo.value.seq, excinfo.value.detail) == (exc.seq, exc.detail)
+        missing = next(seq for seq, value in contributions if value not in final)
+        assert (missing, _MISMATCH) == (exc.seq, exc.detail)
     else:
-        assert _reconstruct_original(final, contributions) == expected
+        assert all(value in final for _, value in contributions)
+        values = [value for _, value in contributions]
+        assert _reconstruct_original(final, values) == expected
+
+
+#: event kind -> the record list it appends to, and that list's sidecar
+#: key with a value no generated record holds
+_LISTS = {
+    "rename": ("synonyms", "synonym", "edited"),
+    "reclassify": ("identifiers", "identifier", "DOI|edited"),
+    "relocate": ("locations", "location", "edited"),
+    "reformat": ("formats", "format", "edited"),
+    "translate": ("languages", "language", "fi"),
+}
+
+
+def _contribution(event: ProvenanceEvent):
+    """The value a well-formed event appends, read from its payload."""
+    if event.kind == "reclassify":
+        system, _, ident = event.payload.partition("|")
+        return IdentifierBinding(system, ident)
+    return event.payload
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_tampered_list_line_blames_what_the_reference_blames(seed, drop):
+    """One derived-list line edited or dropped: verification reports the
+    lowest seq the reference blames over all lists, or passes when the
+    reference finds every list consistent, and then the original view
+    holds the reference's originals."""
+    rng = random.Random(seed)
+    record = recgen.record_with_history(rng)
+    lines = canonical_serialize(record).split(b"\n")
+    keys = {key.encode(): value.encode() for _, key, value in _LISTS.values()}
+    targets = [i for i, line in enumerate(lines) if line.partition(b": ")[0] in keys]
+    if not targets:
+        return
+    at = rng.choice(targets)
+    if drop:
+        del lines[at]
+    else:
+        key = lines[at].partition(b": ")[0]
+        lines[at] = key + b": " + keys[key]
+    try:
+        tampered = parse_record(b"\n".join(lines))
+    except UmsError:
+        return  # a duplicate value or a list left empty
+    blamed, originals = [], {}
+    for kind, (field, _, _) in _LISTS.items():
+        contributions = [(e.seq, _contribution(e)) for e in tampered.history if e.kind == kind]
+        try:
+            originals[field] = oracles.reconstruct_original_reference(
+                getattr(tampered, field), contributions
+            )
+        except oracles.InconsistentReference as exc:
+            blamed.append((exc.seq, exc.detail))
+    result = verify_history(tampered)
+    if blamed:
+        assert (result.ok, (result.broken_at, result.detail)) == (False, min(blamed))
+        return
+    assert result.ok
+    if tampered.history:
+        view = original_view(tampered)
+        assert {field: getattr(view, field) for field in originals} == originals
+
+
+def test_verify_never_rebuilds_the_original(monkeypatch):
+    def refuse(final, contributions):
+        raise AssertionError("verification rebuilt an original")
+
+    monkeypatch.setattr(provenance, "_reconstruct_original", refuse)
+    record = apply_event(octology(), "rename", "AAA", "2012-01-01T00:00:00Z")
+    record = apply_event(record, "relocate", "http://a", "2012-01-02T00:00:00Z")
+    assert verify_history(record) == provenance.VerifyResult(True, 3)
+    data = canonical_serialize(record)
+    edited = parse_record(data.replace(b"location: http://a\n", b"location: http://b\n"))
+    assert verify_history(edited) == provenance.VerifyResult(False, 3, 2, _MISMATCH)
+    chain = verify_history(parse_record(data.replace(b"|AAA|", b"|AXA|", 1)))
+    assert (chain.ok, chain.broken_at) == (False, 2)
+    with pytest.raises(AssertionError):
+        original_view(record)
 
 
 @settings(max_examples=50, deadline=None)

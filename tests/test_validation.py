@@ -4,6 +4,8 @@ from ums.metabase import (
     AUTHORS,
     Catalog,
     CatalogEntry,
+    Metabase,
+    builtin_systems_catalog,
     empty_metabase,
 )
 from ums.model import IdentifierBinding, Subject, SystematicName, UmsRecord
@@ -19,7 +21,7 @@ def catalogued_metabase():
         name=AUTHORS,
         entries=(CatalogEntry(systematic_name=MADMAN, synonyms=("Max Madman",)),),
     )
-    return empty_metabase().with_catalog(authors)
+    return Metabase((builtin_systems_catalog(), authors))
 
 
 def full_record(**overrides) -> UmsRecord:

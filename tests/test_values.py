@@ -158,13 +158,13 @@ CASES = {
         DuplicateEntry,
     ),
     "Resolution": (
-        lambda: metabase.Resolution("candidates", None, (_entry(),)),
-        "Resolution(kind='candidates', entry=None, candidates=(CatalogEntry("
-        f"systematic_name={_GRACE}, synonyms=('Amazing Grace',)),))",
+        lambda: metabase.Resolution("exact", _entry()),
+        "Resolution(kind='exact', entry=CatalogEntry("
+        f"systematic_name={_GRACE}, synonyms=('Amazing Grace',)))",
         lambda: metabase.Resolution("none"),
-        "Resolution(kind='none', entry=None, candidates=())",
-        {"kind": "exact"},
-        lambda v: v.kind == "exact" and len(v.candidates) == 1,
+        "Resolution(kind='none', entry=None)",
+        {"kind": "none"},
+        lambda v: v.kind == "none" and v.entry == _entry(),
     ),
     "Metabase": (
         lambda: metabase.Metabase((metabase.Catalog("authors", (_entry(),)),)),
@@ -176,13 +176,13 @@ CASES = {
         lambda v: v.get("authors") is None and v.is_registered_system("doi"),
     ),
     "RawMetadata": (
-        lambda: RawMetadata("pdf", (("Title", "x"),), 120, ("offset 9: expected 'xref'",)),
-        "RawMetadata(carrier='pdf', pairs=(('Title', 'x'),), byte_size=120,"
+        lambda: RawMetadata("pdf", (("Title", "x"),), ("offset 9: expected 'xref'",)),
+        "RawMetadata(carrier='pdf', pairs=(('Title', 'x'),),"
         " errors=(\"offset 9: expected 'xref'\",))",
-        lambda: RawMetadata("html", (), 0),
-        "RawMetadata(carrier='html', pairs=(), byte_size=0, errors=())",
+        lambda: RawMetadata("html", ()),
+        "RawMetadata(carrier='html', pairs=(), errors=())",
         {"errors": ()},
-        lambda v: v.errors == () and v.byte_size == 120,
+        lambda v: v.errors == () and v.pairs == (("Title", "x"),),
     ),
     "MappingRule": (
         lambda: mapping.MappingRule("pdf", "Title", "name"),
