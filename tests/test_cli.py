@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import contextlib
+import io
+import random
 import stat
 import subprocess
 import sys
@@ -7,8 +10,10 @@ import unicodedata
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fixtures
+import recgen
 from ums import timestamps
 from ums.cli import main
 from ums.metabase import (
@@ -456,3 +461,47 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert "extract" in result.stdout
+
+
+#: (file name, contents, the commands run on it after mutation)
+_HOSTILE_INPUTS = [
+    ("page.html", fixtures.pubmed_html(), ("extract", "extract --raw", "lint")),
+    ("bare.html", fixtures.bare_html(), ("extract", "extract --raw", "lint")),
+    ("octology.pdf", fixtures.octology_pdf(), ("extract", "extract --raw", "lint")),
+    ("minimal.pdf", fixtures.minimal_pdf(), ("extract", "extract --raw", "lint")),
+    ("preprint.pdf", fixtures.preprint_pdf(3), ("extract", "extract --raw", "lint")),
+    *(
+        (f"doc{seed}.ums", canonical_serialize(recgen.record_with_history(random.Random(seed))),
+         ("lint", "validate", "history --verify"))
+        for seed in (1, 2)
+    ),
+]
+_HOSTILE_INSERTS = st.one_of(
+    st.binary(min_size=1, max_size=8),
+    st.sampled_from(
+        [b"<", b">", b"<!--", b"<title>", b"<meta name='", b"'", b"(", b")", b"<<", b">>", b"\\",
+         b"\n", b": ", b"|", b"history: ", b"\xff", b"\xcc\x81"]
+    ),
+)
+
+
+@st.composite
+def _hostile_input(draw):
+    name, data, commands = draw(st.sampled_from(_HOSTILE_INPUTS))
+    return name, fixtures.mutated(draw, data, _HOSTILE_INSERTS), draw(st.sampled_from(commands))
+
+
+@pytest.fixture(scope="module")
+def hostile_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hostile_input())
+def test_hostile_input_exits_0_1_or_2(hostile_dir, case):
+    name, data, command = case
+    path = hostile_dir / name
+    path.write_bytes(data)
+    command, *flags = command.split()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main([command, str(path), *flags]) in (0, 1, 2)

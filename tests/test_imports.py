@@ -52,6 +52,21 @@ def test_extracting_a_pdf_loads_no_html_parser(tmp_path):
     assert "html.parser" not in loaded
 
 
+@pytest.mark.parametrize("command", [["extract", "--raw"], ["lint"]], ids=["extract", "lint"])
+def test_reading_an_html_page_loads_no_html_parser(tmp_path, command):
+    page = tmp_path / "page.html"
+    page.write_bytes(fixtures.pubmed_html())
+    argv = [command[0], str(page), *command[1:]]
+    loaded = _loaded_after(
+        "import contextlib, io\nfrom ums import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0"
+    )
+    assert "ums.extractors.html" in loaded
+    assert "html.parser" not in loaded
+    assert "_markupbase" not in loaded
+
+
 def test_grouping_loads_no_hashlib(tmp_path):
     (tmp_path / "doc.ums").write_bytes(b"ums: 1\nname: x\nformat: pdf\ndate: 2011-03-01\n")
     loaded = _loaded_after(
