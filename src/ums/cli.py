@@ -144,10 +144,13 @@ def cmd_extract(args) -> int:
         return EXIT_CLEAN
     record, _unmapped = map_raw_to_ums(raw, _mapping_table(args))
     if not is_complete(record):
-        raise _Operational(
+        message = (
             "mapped record is incomplete (needs name, format and date);"
             " use --raw to inspect the carrier pairs"
         )
+        if raw.errors:
+            message += "; extraction errors: " + "; ".join(raw.errors)
+        raise _Operational(message)
     sys.stdout.write(canonical_serialize(record).decode("utf-8"))
     return EXIT_CLEAN
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import SidecarSyntaxError
+from .errors import InvariantViolation
 
 
 def escape(value: str) -> str:
@@ -68,22 +68,19 @@ def join_fields(fields: list[str]) -> str:
     return "|".join(escape(f) for f in fields)
 
 
-def decode_fields(
-    value: str, arity: tuple[int, ...], line: int, what: str
-) -> list[str]:
+def decode_fields(value: str, arity: tuple[int, ...], what: str) -> list[str]:
     """Split a sidecar value into fields, check their count against
-    *arity* (the allowed counts), and unescape them; a failure names
-    *line* and *what* the value is."""
+    *arity* (the allowed counts), and unescape them; a rejection is an
+    :class:`InvariantViolation` that names *what* the value is, and the
+    sidecar parser names its line."""
     raw = split_fields(value)
     if len(raw) not in arity:
         counts = " or ".join(map(str, arity))
         plural = "" if arity == (1,) else "s"
-        raise SidecarSyntaxError(
-            line, f"{what} needs {counts} field{plural}, got {len(raw)}"
-        )
+        raise InvariantViolation(f"{what} needs {counts} field{plural}, got {len(raw)}")
     if "\\" not in value:
         return raw
     try:
         return [unescape(f) for f in raw]
     except ValueError as exc:
-        raise SidecarSyntaxError(line, f"{what}: {exc}") from None
+        raise InvariantViolation(f"{what}: {exc}") from None

@@ -6,8 +6,11 @@ UTF-8 (an invalid byte reads as U+FFFD). A comment runs from ``<!--`` to
 an end tag ``</…>`` each run to the next ``>``. A start tag's name is
 ``[a-zA-Z][^\\t\\n\\r\\f />\\x00]*``, lowercased. Attribute names are
 lowercased; a value may be single-quoted, double-quoted or bare, and a
-quoted value may hold ``>``; values are unescaped with
-``html.unescape``, and a valueless attribute reads as ``""``. In a
+quoted value may hold ``>``; values are unescaped as ``html.unescape``
+does, except that, by HTML5's rule for attribute values, a named
+reference without ``;`` stays as written when ``=`` or an ASCII letter
+or digit follows it (``content="?a=1&copy=2"`` keeps ``&copy``, while
+``&copy 2`` reads ``© 2``); a valueless attribute reads as ``""``. In a
 ``meta`` tag the first ``name`` and the first ``content`` win, and a
 meta whose ``name`` is empty or missing is skipped. ``title``,
 ``script`` and ``style`` hold text: it runs up to ``</title``,
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import re
 from html import unescape
+from html.entities import html5
 
 from . import CARRIER_HTML, PairBuilder, RawMetadata
 
@@ -52,10 +56,38 @@ _TEXT_END = {
 }
 
 
+#: a character reference, as ``html.unescape`` finds it
+_REFERENCE = re.compile(r"&(#[0-9]+;?|#[xX][0-9a-fA-F]+;?|[^\t\n\f <&#;]{1,32};?)")
+
+
+def _attribute_reference(ref: re.Match) -> str:
+    """One reference of an attribute value, decoded as ``html.unescape``
+    decodes it, unless it is a named one without ";" that "=" or an
+    ASCII letter or digit follows."""
+    name = ref.group(1)
+    if name in html5:
+        return html5[name]
+    if name[0] == "#":
+        code = int(name[2:].rstrip(";"), 16) if name[1] in "xX" else int(name[1:].rstrip(";"))
+        # html.unescape maps these code points to themselves, and others
+        # by its own tables
+        if 0x20 <= code < 0x7F or 0xA0 <= code < 0xD800:
+            return chr(code)
+        return unescape(ref.group())
+    # else html.unescape reads the longest name that *name* starts with
+    for end in range(len(name) - 1, 1, -1):
+        if name[:end] in html5:
+            follows = name[end]
+            if follows == "=" or follows.isascii() and follows.isalnum():
+                return ref.group()
+            return html5[name[:end]] + name[end:]
+    return ref.group()
+
+
 def _unquote(value: str) -> str:
     if value[:1] in ("'", '"'):
         value = value[1:-1]
-    return unescape(value)
+    return _REFERENCE.sub(_attribute_reference, value) if "&" in value else value
 
 
 def _past(text: str, marker: str, start: int) -> int:

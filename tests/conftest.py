@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 import fixtures
+
+#: CI runs the suite with ``--hypothesis-profile=ci``: four times the
+#: examples of each property (see ``fixtures.examples``)
+settings.register_profile("ci", max_examples=400)
 
 
 @pytest.fixture(scope="session")

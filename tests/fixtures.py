@@ -4,9 +4,27 @@ properties apply to input files."""
 
 from __future__ import annotations
 
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from ums.metabase import CATALOG_HEADER
+
+
+def examples(count: int) -> int:
+    """A property's example count: *count* under the default profile,
+    scaled by the loaded profile's ``max_examples`` against the default's,
+    so the ``ci`` profile of ``conftest.py`` runs each property longer."""
+    return count * settings.default.max_examples // settings.get_profile("default").max_examples
+
+
+#: what hostile-input properties insert: random bytes, and the bytes where
+#: the HTML, PDF and sidecar readers decide something
+HOSTILE_INSERTS = st.one_of(
+    st.binary(min_size=1, max_size=8),
+    st.sampled_from(
+        [b"<", b">", b"<!--", b"<title>", b"<meta name='", b"'", b"(", b")", b"<<", b">>", b"\\",
+         b"\n", b": ", b"|", b"history: ", b"\xff", b"\xcc\x81"]
+    ),
+)
 
 
 def mutated(draw, data: bytes, inserts: st.SearchStrategy[bytes]) -> bytes:

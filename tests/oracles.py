@@ -9,11 +9,33 @@ from __future__ import annotations
 import re
 import unicodedata
 from datetime import datetime
-from html.parser import HTMLParser
+from html import unescape
+from html.entities import html5
+from html.parser import HTMLParser, attrfind_tolerant, tagfind_tolerant
 from typing import Optional, Union
 
-from ums.errors import NotPdf, NotSupported
+from ums.errors import (
+    DuplicateSingletonKey,
+    InvalidTimestamp,
+    InvariantViolation,
+    NotPdf,
+    NotSupported,
+    SidecarSyntaxError,
+    UnknownKey,
+)
 from ums.extractors import CARRIER_HTML, CARRIER_PDF, PairBuilder, RawMetadata
+from ums.model import (
+    ACCESS_PUBLIC,
+    REQUIRED_FIELDS,
+    SINGLETON_KEYS,
+    STRICT,
+    IdentifierBinding,
+    ProvenanceEvent,
+    Subject,
+    UmsRecord,
+    access_level,
+    checked,
+)
 from ums.timestamps import display
 
 
@@ -783,11 +805,31 @@ def extract_pdf_info_reference(data: bytes) -> RawMetadata:
 
 
 # HTML extraction with the standard library's HTMLParser: the scanner and
-# extraction loop that the one-pass scan replaced, kept verbatim as the
-# reference ``ums.extractors.html`` is compared against on well-formed
-# pages.  Malformed markup differs on purpose: here a title holds parsed
-# markup and an unterminated construct is read on as text, and how
+# extraction loop that the one-pass scan replaced, kept as the reference
+# ``ums.extractors.html`` is compared against on well-formed pages; a meta
+# tag's attributes are re-read from the tag's text and unescaped by
+# HTML5's attribute rule, which HTMLParser applies only from CPython
+# 3.13.13 on.  Malformed markup differs on purpose: here a title holds
+# parsed markup and an unterminated construct is read on as text, and how
 # HTMLParser does either changes between Python releases.
+
+
+def _attribute_value_reference(value: str) -> str:
+    """An attribute value unescaped by HTML5's attribute rule: a named
+    reference without ";" stays as written when "=" or an ASCII letter or
+    digit follows it; every other reference reads as html.unescape reads
+    it."""
+    out, start = [], 0
+    for at in [i for i, c in enumerate(value) if c == "&"]:
+        name = max((n for n in html5 if value.startswith(n, at + 1)), key=len, default="")
+        follows = value[at + 1 + len(name) : at + 2 + len(name)]
+        if name and not name.endswith(";") and (
+            follows == "=" or follows.isascii() and follows.isalnum()
+        ):
+            out += [unescape(value[start:at]), value[at : at + 1 + len(name)]]
+            start = at + 1 + len(name)
+    out.append(unescape(value[start:]))
+    return "".join(out)
 
 
 class _MetaScanner(HTMLParser):
@@ -805,11 +847,25 @@ class _MetaScanner(HTMLParser):
             return
         if tag == "meta":
             found = {}
-            for attr_name, attr_value in attrs:
+            for attr_name, attr_value in self._raw_attributes():
                 if attr_name in ("name", "content") and attr_name not in found:
-                    found[attr_name] = attr_value if attr_value is not None else ""
+                    found[attr_name] = _attribute_value_reference(attr_value or "")
             if "name" in found and "content" in found and found["name"]:
                 self.events.append((found["name"], found["content"]))
+
+    def _raw_attributes(self):
+        """The attributes of the start tag just read, found as
+        ``parse_starttag`` finds them but with their values still escaped."""
+        text = self.get_starttag_text()
+        at = tagfind_tolerant.match(text, 1).end()
+        while (attribute := attrfind_tolerant.match(text, at)) is not None:
+            name, rest, value = attribute.group(1, 2, 3)
+            if not rest:
+                value = None
+            elif value[:1] == "'" == value[-1:] or value[:1] == '"' == value[-1:]:
+                value = value[1:-1]
+            yield name.lower(), value
+            at = attribute.end()
 
     def handle_startendtag(self, tag, attrs):
         self.handle_starttag(tag, attrs)
@@ -846,3 +902,155 @@ def html_meta_reference(data: bytes) -> RawMetadata:
         builder.add(key, value)
     builder.add("FileSize", str(len(data)))
     return RawMetadata(carrier=CARRIER_HTML, pairs=builder.pairs())
+
+
+# Sidecar parsing one line at a time: the line walk that the layout
+# pattern of ``ums.sidecar`` replaced, kept as the reference the parser is
+# compared against, warnings, exception classes, lines and messages
+# included.  Values are split and unescaped by the references above.
+
+_SIDECAR_KEYS = (
+    "name", "synonym", "format", "date", "type", "summary", "language", "location",
+    "creator", "identifier", "access", "subject", "tag", "history",
+)
+_SIDECAR_KEY_OF_FIELD = dict(zip(UmsRecord._fields, _SIDECAR_KEYS))
+_HISTORY_SEQ_REFERENCE_RE = re.compile(r"0|[1-9]\d*", re.ASCII)
+
+
+def _escape_reference(value: str) -> str:
+    return value.replace("\\", "\\\\").replace("\n", "\\n").replace("|", "\\|")
+
+
+def _canonical_values_reference(record: UmsRecord) -> dict[str, list[str]]:
+    """The canonical value of each entry of *record*, per sidecar key."""
+    def event(e):
+        return f"{e.seq}|{e.timestamp}|{e.kind}|{_escape_reference(e.payload)}|{e.prev}"
+
+    return {
+        "name": [_escape_reference(record.name)] if record.name else [],
+        "synonym": [_escape_reference(v) for v in record.synonyms],
+        "format": list(record.formats),
+        "date": [record.date] if record.date is not None else [],
+        "type": [record.doc_type] if record.doc_type is not None else [],
+        "summary": [_escape_reference(record.summary)] if record.summary is not None else [],
+        "language": list(record.languages),
+        "location": [_escape_reference(v) for v in record.locations],
+        "creator": [_escape_reference(v) for v in record.creators],
+        "identifier": [f"{_escape_reference(b.system)}|{_escape_reference(b.id)}"
+                       for b in record.identifiers],
+        "access": [str(record.access)] if record.access != ACCESS_PUBLIC else [],
+        "subject": [_escape_reference(s.text) if s.source is None
+                    else f"{_escape_reference(s.text)}|{_escape_reference(s.source)}"
+                    for s in record.subjects],
+        "tag": [_escape_reference(v) for v in record.tags],
+        "history": [event(e) for e in record.history],
+    }
+
+
+def _decode_fields_reference(
+    value: str, arity: tuple[int, ...], line: int, what: str
+) -> list[str]:
+    raw = split_fields_reference(value)
+    if len(raw) not in arity:
+        counts = " or ".join(map(str, arity))
+        plural = "" if arity == (1,) else "s"
+        raise SidecarSyntaxError(line, f"{what} needs {counts} field{plural}, got {len(raw)}")
+    try:
+        return [unescape_reference(f) for f in raw]
+    except ValueError as exc:
+        raise SidecarSyntaxError(line, f"{what}: {exc}") from None
+
+
+def _history_event_reference(value: str, line_no: int) -> ProvenanceEvent:
+    seq, ts, kind, payload, prev = _decode_fields_reference(value, (5,), line_no, "history")
+    if not _HISTORY_SEQ_REFERENCE_RE.fullmatch(seq):
+        raise SidecarSyntaxError(line_no, f"bad history seq: {seq!r}")
+    try:
+        return ProvenanceEvent(seq=int(seq), timestamp=ts, kind=kind, payload=payload, prev=prev)
+    except (InvariantViolation, InvalidTimestamp) as exc:
+        raise SidecarSyntaxError(line_no, f"history: {exc}") from None
+
+
+def parse_record_reference(data: bytes, mode: str = STRICT) -> tuple[UmsRecord, list[str]]:
+    """What ``parse_record_with_warnings`` returns or raises, found one line
+    at a time."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SidecarSyntaxError(0, f"not UTF-8: {exc}") from None
+    if not text.endswith("\n"):
+        raise SidecarSyntaxError(max(1, text.count("\n") + 1), "missing trailing newline")
+    lines = text.split("\n")[:-1]
+    if not lines or lines[0] != "ums: 1":
+        raise SidecarSyntaxError(1, "expected header 'ums: 1'")
+
+    warnings: list[str] = []
+    values: dict[str, list[tuple[str, int]]] = {k: [] for k in _SIDECAR_KEYS}
+    order_pos = 0
+
+    for line_no, line in enumerate(lines[1:], start=2):
+        key, sep, value = line.partition(": ")
+        if not sep or not key or value == "":
+            raise SidecarSyntaxError(line_no, f"expected 'key: value', got {line!r}")
+        if key not in values:
+            if mode == STRICT:
+                raise UnknownKey(line_no, key)
+            warnings.append(f"line {line_no}: unknown key {key!r} ignored")
+            continue
+        pos = _SIDECAR_KEYS.index(key)
+        if pos < order_pos:
+            raise SidecarSyntaxError(line_no, f"key {key!r} out of order")
+        if key in SINGLETON_KEYS and values[key]:
+            raise DuplicateSingletonKey(line_no, key)
+        order_pos = pos
+        values[key].append((value, line_no))
+
+    missing = [k for k in REQUIRED_FIELDS if not values[k]]
+    if missing:
+        if mode == STRICT:
+            raise SidecarSyntaxError(
+                len(lines), f"missing required key(s): {', '.join(missing)}"
+            )
+        warnings += [f"missing required key: {k}" for k in missing]
+
+    def decode(key, arity):
+        return (_decode_fields_reference(v, arity, n, key) for v, n in values[key])
+
+    def texts(key):
+        return [fields[0] for fields in decode(key, (1,))]
+
+    def tokens(key):
+        return tuple(value for value, _ in values[key])
+
+    (name,) = texts("name") or [""]
+    (summary,) = texts("summary") or [None]
+    (date,) = tokens("date") or [None]
+    (doc_type,) = tokens("type") or [None]
+
+    formats, languages = tokens("format"), tokens("language")
+    try:
+        (access,) = checked("access", tokens("access"), access_level) or (ACCESS_PUBLIC,)
+        pairs = list(decode("identifier", (2,)))
+        identifiers = checked("identifiers", pairs, lambda p: IdentifierBinding(*p))
+        subjects = checked("subjects", decode("subject", (1, 2)), lambda p: Subject(*p))
+        history = [_history_event_reference(v, n) for v, n in values["history"]]
+        record = UmsRecord(
+            name=name, synonyms=texts("synonym"), formats=formats, date=date,
+            doc_type=doc_type, summary=summary, languages=languages,
+            locations=texts("location"), creators=texts("creator"),
+            identifiers=identifiers, access=access, subjects=subjects,
+            tags=texts("tag"), history=tuple(history),
+        )
+    except (InvariantViolation, InvalidTimestamp) as exc:
+        line_no = values[_SIDECAR_KEY_OF_FIELD[exc.field]][exc.index][1]
+        raise SidecarSyntaxError(line_no, str(exc)) from None
+
+    canonical = _canonical_values_reference(record)
+    for key in _SIDECAR_KEYS:
+        for (value, line_no), expected in zip(values[key], canonical[key]):
+            if value != expected:
+                message = f"{key} is not canonical, expected {expected!r}"
+                if mode == STRICT:
+                    raise SidecarSyntaxError(line_no, message)
+                warnings.append(f"line {line_no}: {message}")
+    return record, warnings

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fixtures
 import oracles
 import recgen
 from ums.association import CRITERIA, build_index, group_by, related
@@ -52,7 +53,7 @@ class TestGroupBy:
             assert len(members) == len(records)
             assert {id(r) for r in members} == {id(r) for r in records}
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=fixtures.examples(30), deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_matches_naive_bucket_oracle(self, seed):
         rng = random.Random(seed)
@@ -104,7 +105,7 @@ class TestRelated:
                     records, record
                 )
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=fixtures.examples(60), deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_matches_oracle_with_copies_namesakes_and_untagged(self, seed):
         """Equal copies, records sharing a name, untagged records and one

@@ -88,6 +88,16 @@ class TestExtract:
         assert main(["extract", str(page)]) == 2
         assert "--raw" in capsys.readouterr().err
 
+    def test_an_incomplete_record_names_the_extraction_errors(self, tmp_path, capsys):
+        head, _, tail = fixtures.octology_pdf().rpartition(b"startxref\n")
+        damaged = tmp_path / "damaged.pdf"
+        damaged.write_bytes(head + b"startxref\n5" + tail[tail.index(b"\n") :])
+        assert main(["extract", str(damaged)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "mapped record is incomplete" in err
+        assert err.rstrip().endswith("; extraction errors: offset 5: expected 'xref'")
+
     def test_carrier_flag_overrides_detection(self, tmp_path, capsys):
         odd = tmp_path / "data.bin"
         odd.write_bytes(fixtures.pubmed_html())
@@ -476,19 +486,13 @@ _HOSTILE_INPUTS = [
         for seed in (1, 2)
     ),
 ]
-_HOSTILE_INSERTS = st.one_of(
-    st.binary(min_size=1, max_size=8),
-    st.sampled_from(
-        [b"<", b">", b"<!--", b"<title>", b"<meta name='", b"'", b"(", b")", b"<<", b">>", b"\\",
-         b"\n", b": ", b"|", b"history: ", b"\xff", b"\xcc\x81"]
-    ),
-)
 
 
 @st.composite
 def _hostile_input(draw):
     name, data, commands = draw(st.sampled_from(_HOSTILE_INPUTS))
-    return name, fixtures.mutated(draw, data, _HOSTILE_INSERTS), draw(st.sampled_from(commands))
+    data = fixtures.mutated(draw, data, fixtures.HOSTILE_INSERTS)
+    return name, data, draw(st.sampled_from(commands))
 
 
 @pytest.fixture(scope="module")
@@ -496,7 +500,7 @@ def hostile_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("hostile")
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=fixtures.examples(300), deadline=None)
 @given(_hostile_input())
 def test_hostile_input_exits_0_1_or_2(hostile_dir, case):
     name, data, command = case

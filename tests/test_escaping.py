@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fixtures
 import oracles
 from ums.escaping import split_fields, unescape
 
@@ -24,13 +25,13 @@ def outcome(fn, value):
         return "error", str(exc)
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=fixtures.examples(500), deadline=None)
 @given(VALUES)
 def test_split_fields_matches_reference(value):
     assert split_fields(value) == oracles.split_fields_reference(value)
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=fixtures.examples(500), deadline=None)
 @given(VALUES)
 def test_unescape_matches_reference_results_and_errors(value):
     assert outcome(unescape, value) == outcome(oracles.unescape_reference, value)

@@ -298,7 +298,7 @@ def _outcome(extract, data: bytes):
 _WRONG_XREF = re.compile(r"offset -?\d+: expected 'xref'")
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=fixtures.examples(500), deadline=None)
 @given(_differential_pdf())
 def test_extraction_equals_the_cursor_reference(data):
     expected = _outcome(oracles.extract_pdf_info_reference, data)

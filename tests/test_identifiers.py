@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fixtures
 import oracles
 from ums.errors import UnknownSystem
 from ums.identifiers import validate_identifier
@@ -99,7 +100,7 @@ class TestUrn:
     def test_bad_urns(self, bad):
         assert not validate_identifier("URN", bad).valid
 
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=fixtures.examples(500), deadline=None)
     @given(
         st.one_of(
             st.builds(

@@ -263,7 +263,7 @@ _pair = st.tuples(
 )
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=fixtures.examples(400), deadline=None)
 @given(st.sampled_from(["pdf", "html"]), st.lists(_pair, max_size=12))
 def test_mapping_matches_the_reference_wherever_it_returns(carrier, pairs):
     raw = RawMetadata(carrier=carrier, pairs=tuple(pairs))
@@ -303,7 +303,7 @@ def _mutated_carrier(draw):
     return fixtures.mutated(draw, data, _INSERTS), extract
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=fixtures.examples(300), deadline=None)
 @given(_mutated_carrier())
 def test_hostile_carriers_raise_only_not_pdf_or_not_supported(carrier):
     data, extract = carrier
@@ -338,7 +338,7 @@ def _mutated_mapping(draw):
     return fixtures.mutated(draw, _MAPPING_FILE, _MAPPING_INSERTS)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=fixtures.examples(300), deadline=None)
 @given(_mutated_mapping())
 def test_hostile_mapping_tables_raise_only_ums_errors(data):
     try:

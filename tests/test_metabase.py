@@ -109,7 +109,7 @@ NFC_WHO_PART = st.text(
 
 
 class TestResolveUnderNfc:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=fixtures.examples(300), deadline=None)
     @given(st.lists(st.lists(NFC_WHO_PART, min_size=1, max_size=3), min_size=1, max_size=4))
     @example([["a\n\u0301"]])  # the escaped n and the acute compose
     def test_canonical_and_its_nfc_form_resolve_exact(self, whos):
@@ -156,7 +156,7 @@ def random_catalog(rng: random.Random) -> Catalog:
 
 
 class TestResolveMatchesScan:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=fixtures.examples(150), deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_resolve_equals_linear_scan(self, seed):
         rng = random.Random(seed)
@@ -200,7 +200,7 @@ class TestRegister:
         with pytest.raises(DuplicateEntry):
             Catalog(catalog.name, catalog.entries + (newcomer,))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=fixtures.examples(40), deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_register_then_resolve_is_exact(self, seed):
         rng = random.Random(seed)
@@ -348,7 +348,7 @@ def _mutated_catalog(draw):
 
 
 class TestHostileCatalogs:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=fixtures.examples(300), deadline=None)
     @given(_mutated_catalog())
     def test_load_catalog_raises_only_ums_errors(self, data):
         try:
@@ -356,7 +356,7 @@ class TestHostileCatalogs:
         except UmsError:
             pass
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=fixtures.examples(100), deadline=None)
     @given(st.lists(_mutated_catalog(), min_size=1, max_size=3))
     def test_load_metabase_raises_only_ums_errors(self, files):
         with tempfile.TemporaryDirectory() as directory:

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fixtures
 import oracles
 import recgen
 from ums import provenance
@@ -299,7 +300,7 @@ def replay_cases(draw):
     return final, list(zip(sorted(seqs), values))
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=fixtures.examples(500), deadline=None)
 @given(replay_cases())
 def test_reconstruct_original_matches_reference(case):
     """Contributions that are all in the list give the reference's
@@ -336,7 +337,7 @@ def _contribution(event: ProvenanceEvent):
     return event.payload
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=fixtures.examples(200), deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_tampered_list_line_blames_what_the_reference_blames(seed, drop):
     """One derived-list line edited or dropped: verification reports the
@@ -396,7 +397,7 @@ def test_verify_never_rebuilds_the_original(monkeypatch):
         original_view(record)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=fixtures.examples(50), deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_append_only_law(seed):
     rng = random.Random(seed)

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import random
+import time
 import unicodedata
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fixtures
+import oracles
 import recgen
 from ums.errors import (
     DuplicateSingletonKey,
@@ -130,15 +133,21 @@ def test_uppercase_format_rejected_at_parse():
 
 
 def test_non_ascii_digits_rejected_everywhere():
-    # Arabic-Indic digits satisfy str.isdigit but are not canonical
-    arabic_date = "ums: 1\nname: x\nformat: pdf\ndate: ٢011-03-01\n".encode()
-    with pytest.raises(SidecarSyntaxError):
-        parse_record(arabic_date)
-    arabic_seq = (
-        MINIMAL + "history: ٠|2011-03-01|create||0000000000000000\n".encode()
-    )
-    with pytest.raises(SidecarSyntaxError):
-        parse_record(arabic_seq)
+    # Arabic-Indic and other digits satisfy str.isdigit but are not canonical
+    head = "ums: 1\nname: x\nformat: pdf\n"
+    genesis = "history: 0|2011-03-01|create||0000000000000000\n"
+    rename = "|2011-03-01|rename|y|0000000000000000\n"
+    for digit in ("٠", "۱", "१", "１", "\U0001d7d9"):
+        for data in (
+            f"{head}date: 201{digit}-03-01\n",
+            f"{head}date: 2011-03-01\nhistory: {digit}|2011-03-01|create||0000000000000000\n",
+            f"{head}date: 2011-03-01\n{genesis}history: 1{digit}{rename}",
+            f"{head}date: 2011-03-01\nhistory: 0|2011-03-0{digit}|create||0000000000000000\n",
+        ):
+            for mode in (STRICT, LENIENT):
+                with pytest.raises(SidecarSyntaxError) as excinfo:
+                    parse_record_with_warnings(data.encode(), mode)
+                assert excinfo.value.line == data.count("\n")
 
 
 def test_incomplete_record_cannot_serialize():
@@ -146,7 +155,7 @@ def test_incomplete_record_cannot_serialize():
         canonical_serialize(UmsRecord(name="x", formats=("pdf",)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=fixtures.examples(60), deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_round_trip_and_idempotence(seed):
     record = recgen.record_with_history(random.Random(seed))
@@ -272,7 +281,7 @@ def _mutated(seed: int, kind: str) -> tuple[bytes, bytes, int]:
     return original, "\n".join(lines).encode(), i + 1
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=fixtures.examples(200), deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(("nfd", "upper", "lower-system", "combining")))
 def test_strict_parsing_accepts_only_canonical_values(seed, kind):
     original, mutated, line_no = _mutated(seed, kind)
@@ -298,7 +307,7 @@ _SIDECAR_LIKE = st.lists(st.tuples(st.sampled_from(_KEYS), _VALUES), max_size=10
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=fixtures.examples(300), deadline=None)
 @given(st.one_of(st.binary(max_size=80), st.binary(max_size=80).map(MINIMAL.__add__), _SIDECAR_LIKE))
 def test_arbitrary_bytes_raise_only_ums_errors(data):
     for mode in (STRICT, LENIENT):
@@ -306,3 +315,133 @@ def test_arbitrary_bytes_raise_only_ums_errors(data):
             parse_record(data, mode)
         except UmsError:
             pass
+
+
+def _outcome(parse, data: bytes, mode: str):
+    """What *parse* returns for *data*, or the class, line and message of
+    what it raises."""
+    try:
+        return parse(data, mode)
+    except UmsError as exc:
+        return type(exc), exc.line, str(exc)
+
+
+@st.composite
+def _recgen_sidecar(draw, mutate: bool = True):
+    record = recgen.record_with_history(random.Random(draw(st.integers(0, 2**32 - 1))))
+    data = canonical_serialize(record)
+    return fixtures.mutated(draw, data, fixtures.HOSTILE_INSERTS) if mutate else data
+
+
+#: what a value edit inserts: escapes good and bad, separators, case,
+#: a combining mark, a non-ASCII digit, line-breaking characters that are
+#: not a line feed
+_VALUE_INSERTS = ["|", "\\", "\\n", "\\|", "\\\\", "\\x", "\u0301", "A", "0", "\u0660", "-",
+                  " ", "\r", "\x85", "\u2028"]
+
+
+@st.composite
+def _value_edited_sidecar(draw):
+    """A recgen sidecar after one to three edits that keep every line a
+    ``key: value`` line: an insertion into a value, or a line duplicated,
+    deleted or moved; the layout may still match, so a value's line must
+    be found without the line walk."""
+    record = recgen.record_with_history(random.Random(draw(st.integers(0, 2**32 - 1))))
+    lines = canonical_serialize(record).decode().split("\n")[:-1]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(1, len(lines) - 1))
+        edit = draw(st.sampled_from(["insert", "duplicate", "delete", "move"]))
+        if edit == "insert":
+            key, _, value = lines[i].partition(": ")
+            at = draw(st.integers(0, len(value)))
+            insert = draw(st.sampled_from(_VALUE_INSERTS))
+            lines[i] = f"{key}: {value[:at]}{insert}{value[at:]}"
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "delete" and len(lines) > 2:
+            del lines[i]
+        elif edit == "move":
+            lines.insert(draw(st.integers(1, len(lines) - 1)), lines.pop(i))
+    return "".join(line + "\n" for line in lines).encode()
+
+
+@settings(max_examples=fixtures.examples(500), deadline=None)
+@given(st.one_of(
+    _recgen_sidecar(), _recgen_sidecar(mutate=False), _value_edited_sidecar(), _SIDECAR_LIKE
+))
+def test_parsing_agrees_with_the_line_walk(data):
+    for mode in (STRICT, LENIENT):
+        expected = _outcome(oracles.parse_record_reference, data, mode)
+        assert _outcome(parse_record_with_warnings, data, mode) == expected
+
+
+@pytest.mark.parametrize(
+    "history",
+    [
+        "0|2011-03-01|create|a\\\\b\\nc\\|d|0000000000000000",
+        "0|2011-03-01|create|a\\x|0000000000000000",
+        "0|2011-03-01|create|a\\|0000000000000000",
+        "0|2011-03-01|create|a\\\\|0000000000000000",
+        "0|2011-03-01|create|\\|0000000000000000|",
+        "0|2011-03-01\\n|create||0000000000000000",
+        "0|2011-03-01|cre\\|ate||0000000000000000",
+        "0\\|0|2011-03-01|create||0000000000000000",
+        "0|2011-03-01|create||0000000000000000\\",
+        "0|2011-03-01|create||0000000000000000|",
+        "01|2011-03-01|create||0000000000000000",
+        "+0|2011-03-01|create||0000000000000000",
+        "٠|2011-03-01|create||0000000000000000",
+        "0|2011-03-01|create|é|0000000000000000",
+    ],
+)
+def test_history_values_agree_with_the_line_walk(history):
+    data = MINIMAL + f"history: {history}\n".encode()
+    for mode in (STRICT, LENIENT):
+        expected = _outcome(oracles.parse_record_reference, data, mode)
+        assert _outcome(parse_record_with_warnings, data, mode) == expected
+
+
+#: characters str.splitlines breaks lines at, other than the line feed
+_LINE_BREAKERS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("mode", [STRICT, LENIENT])
+def test_line_breaking_characters_stay_inside_their_value(mode):
+    record = UmsRecord(
+        name="a\rb",
+        synonyms=tuple(f"s{c}t" for c in _LINE_BREAKERS),
+        formats=("pdf",),
+        date="2011-03-01",
+        summary="x y\x85z",
+        tags=tuple(f"{c}tag{c}" for c in _LINE_BREAKERS),
+    )
+    data = canonical_serialize(record)
+    assert parse_record_with_warnings(data, mode) == (record, [])
+    # the line of a later rejection counts line feeds only
+    bad = data + b"history: 0|2011-03-01|create||000000000000000G\n"
+    with pytest.raises(SidecarSyntaxError) as excinfo:
+        parse_record_with_warnings(bad, mode)
+    assert excinfo.value.line == data.count(b"\n") + 1
+
+
+@pytest.mark.parametrize(
+    "tail, line",
+    [
+        (b"format: pdf\n", 100_003),  # no date line
+        (b"format: pdf\nname: y\n", 100_004),  # out of order
+        (b"format: pdf\ndate: 2011-03-01\nsynonym: s1\n", 100_005),  # out of order
+        (b"format: pdf\ndate: 2011-03-01\nformat: pdf\n", 100_005),
+        (b"format: pdf\ndate: 2011-03-01\ncolor: x\n", 100_005),  # unknown key
+        (b"synonym: s0000000007\nformat: pdf\ndate: 2011-03-01\n", 100_003),  # a duplicate
+    ],
+)
+def test_a_long_hostile_sidecar_is_rejected_in_linear_time(tail, line):
+    synonyms = b"".join(b"synonym: s%010d\n" % i for i in range(100_000))
+    data = b"ums: 1\nname: x\n" + synonyms + tail
+    assert len(data) > 2_000_000
+    started = time.perf_counter()
+    with pytest.raises(SidecarSyntaxError) as excinfo:
+        parse_record(data)
+    # a quadratic match or walk would take hours; a linear one well under a second
+    assert time.perf_counter() - started < 20
+    assert excinfo.value.line == line

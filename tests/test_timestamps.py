@@ -5,6 +5,7 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fixtures
 import oracles
 from ums import timestamps
 from ums.errors import InvalidTimestamp
@@ -115,7 +116,7 @@ _NEAR_CANONICAL = st.builds(
 )
 
 
-@settings(max_examples=1000, deadline=None)
+@settings(max_examples=fixtures.examples(1000), deadline=None)
 @given(_NEAR_CANONICAL)
 def test_canonical_check_matches_strptime_reference(value):
     canonical = timestamps.is_canonical(value)
@@ -163,7 +164,7 @@ def _normalized(value):
         return InvalidTimestamp
 
 
-@settings(max_examples=1000, deadline=None)
+@settings(max_examples=fixtures.examples(1000), deadline=None)
 @given(st.one_of(_PDF_DATE, _ISO_INSTANT, st.text(max_size=25)))
 def test_display_form_normalizes_as_its_source(value):
     shown = timestamps.display(value)
@@ -171,7 +172,7 @@ def test_display_form_normalizes_as_its_source(value):
         assert _normalized(shown) == _normalized(value)
 
 
-@settings(max_examples=1000, deadline=None)
+@settings(max_examples=fixtures.examples(1000), deadline=None)
 @given(
     st.one_of(
         _PDF_DATE,
