@@ -2,8 +2,10 @@
 
 Ships the complete ISO 639-1 two-letter set plus a pragmatic subset of
 ISO 639-2/T three-letter codes.  Only natural languages belong here;
-programming-language names are deliberately not codes and are rejected
-by :func:`is_language_code`.
+programming-language names are deliberately not codes, so
+:func:`ums.model.language_code` rejects them.  :data:`LANGUAGE_CODES`
+maps each code to the registry's own string, which every record that
+holds the code then shares.
 """
 
 from __future__ import annotations
@@ -47,9 +49,5 @@ ISO_639_2 = frozenset(
     """.split()
 )
 
-LANGUAGE_CODES = ISO_639_1 | ISO_639_2
-
-
-def is_language_code(token: str) -> bool:
-    """True when *token* is a registered natural-language code."""
-    return token in LANGUAGE_CODES
+#: each registered code -> the registry's string for it
+LANGUAGE_CODES = {code: code for code in ISO_639_1 | ISO_639_2}

@@ -33,9 +33,13 @@ from typing import Iterable, Optional, Sequence
 from . import timestamps
 from .errors import InvalidTimestamp, InvariantViolation, MissingComponent
 from .escaping import escape, split_fields, unescape
-from .languages import is_language_code
+from .languages import LANGUAGE_CODES
 
-DOC_TYPES = ("text", "image", "photo", "video", "sound")
+#: the closed vocabularies map each token to the registry's own string,
+#: which every record holding the token then shares; a token read from
+#: input is looked up here, never interned (an interned string is immortal
+#: on CPython 3.12, so a long-lived importer would keep every hostile token)
+DOC_TYPES = {t: t for t in ("text", "image", "photo", "video", "sound")}
 
 #: carrier names; defined here so the CLI can name them without loading
 #: the extractors (``ums.extractors`` re-exports them)
@@ -43,8 +47,10 @@ CARRIER_PDF = "pdf"
 CARRIER_HTML = "html"
 CARRIER_SIDECAR = "sidecar"
 
-NAME_KINDS = ("person", "organization", "document", "other")
-EVENT_KINDS = ("create", "rename", "reclassify", "relocate", "reformat", "translate")
+NAME_KINDS = {k: k for k in ("person", "organization", "document", "other")}
+EVENT_KINDS = {
+    k: k for k in ("create", "rename", "reclassify", "relocate", "reformat", "translate")
+}
 
 ACCESS_PUBLIC, ACCESS_INTERNAL, ACCESS_RESTRICTED, ACCESS_SECRET = range(4)
 _ACCESS_TOKENS = {str(level): level for level in range(4)}
@@ -190,26 +196,32 @@ def _reject_duplicates(values: Sequence, what: str, field: str) -> None:
 
 
 def format_tag(value: str) -> str:
-    """A format tag as records store it (NFC, lowercase), or raise."""
-    tag = nfc(value).lower()
+    """A format tag as records store it (NFC, lowercase), or raise; a
+    tag already in that form is returned as given."""
+    tag = nfc(value)
     if not FORMAT_RE.fullmatch(tag):
-        raise InvariantViolation(f"bad format tag: {tag!r}")
+        tag = tag.lower()
+        if not FORMAT_RE.fullmatch(tag):
+            raise InvariantViolation(f"bad format tag: {tag!r}")
     return tag
 
 
 def language_code(value: str) -> str:
-    """A language code as records store it (NFC, lowercase), or raise."""
+    """The registry's string for a language code (after NFC and
+    lowercasing), or raise."""
     code = nfc(value).lower()
-    if not is_language_code(code):
-        raise InvariantViolation(f"not a natural-language code: {code!r}")
-    return code
+    try:
+        return LANGUAGE_CODES[code]
+    except KeyError:
+        raise InvariantViolation(f"not a natural-language code: {code!r}") from None
 
 
 def document_type(value: str) -> str:
-    """*value* if it names a document type, or raise."""
-    if value not in DOC_TYPES:
-        raise _rejected(f"unknown document type: {value!r}", "doc_type")
-    return value
+    """The registry's string for a document type, or raise."""
+    try:
+        return DOC_TYPES[value]
+    except (KeyError, TypeError):
+        raise _rejected(f"unknown document type: {value!r}", "doc_type") from None
 
 
 def access_level(token: str) -> int:
@@ -231,9 +243,11 @@ class IdentifierBinding(Value):
         self.__post_init__()
 
     def __post_init__(self):
-        system = nfc(self.system).upper()
+        system = self.system
         if not _SYSTEM_RE.fullmatch(system):
-            raise InvariantViolation(f"bad system token: {self.system!r}")
+            system = nfc(system).upper()
+            if not _SYSTEM_RE.fullmatch(system):
+                raise InvariantViolation(f"bad system token: {self.system!r}")
         if self.id == "":
             raise InvariantViolation("empty identity number")
         set_slot(self, "system", system)
@@ -286,8 +300,10 @@ class ProvenanceEvent(Value):
     def __post_init__(self):
         if self.seq < 0:
             raise InvariantViolation("negative event seq")
-        if self.kind not in EVENT_KINDS:
-            raise InvariantViolation(f"unknown event kind: {self.kind!r}")
+        try:
+            set_slot(self, "kind", EVENT_KINDS[self.kind])
+        except (KeyError, TypeError):
+            raise InvariantViolation(f"unknown event kind: {self.kind!r}") from None
         timestamps.ensure_canonical(self.timestamp)
         if not _PREV_RE.fullmatch(self.prev):
             raise InvariantViolation(f"bad prev digest: {self.prev!r}")
@@ -315,8 +331,10 @@ class SystematicName(Value):
         self.__post_init__()
 
     def __post_init__(self):
-        if self.kind not in NAME_KINDS:
-            raise InvariantViolation(f"unknown name kind: {self.kind!r}")
+        try:
+            set_slot(self, "kind", NAME_KINDS[self.kind])
+        except (KeyError, TypeError):
+            raise InvariantViolation(f"unknown name kind: {self.kind!r}") from None
         who = checked(None, self.who, what="name component")
         if not who:
             raise MissingComponent("a systematic name needs a who-part")
@@ -440,7 +458,7 @@ class UmsRecord(Value):
                 exc.field = "date"
                 raise
         if self.doc_type is not None:
-            document_type(self.doc_type)
+            set_slot(self, "doc_type", document_type(self.doc_type))
         if self.summary is not None:
             if self.summary == "":
                 raise _rejected("empty summary", "summary")

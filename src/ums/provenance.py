@@ -173,9 +173,7 @@ def _replay(record: UmsRecord) -> dict[str, list]:
     replays, so a malformed payload or a value missing from its list is
     the only way the derived lists can break."""
     history = record.history
-    genesis = history[0]
-    if genesis.kind != "create":
-        raise BrokenChain(0, "first event is not create")
+    genesis = history[0]  # a create event: UmsRecord rejects any other first
     if genesis.payload != "":
         raise BrokenChain(0, "create event carries a payload")
     if genesis.prev != GENESIS_PREV:

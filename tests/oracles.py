@@ -320,7 +320,7 @@ def map_raw_to_ums_reference(raw, table):
     Builds the same ``(record, unmapped)`` wherever it returns."""
     from ums.errors import InvalidTimestamp, InvariantViolation, MappingError
     from ums.extractors import base_key
-    from ums.languages import is_language_code
+    from ums.languages import LANGUAGE_CODES
     from ums.model import IdentifierBinding, Subject, UmsRecord
     from ums.timestamps import normalize
 
@@ -371,7 +371,7 @@ def map_raw_to_ums_reference(raw, table):
             mapped = True
         elif target == "language":
             code = value.lower()
-            if is_language_code(code):
+            if code in LANGUAGE_CODES:
                 if code not in languages:
                     languages.append(code)
                 mapped = True

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import random
 import stat
 import subprocess
@@ -21,8 +22,8 @@ from ums.metabase import (
     Catalog,
     CatalogEntry,
 )
-from ums.model import Subject, SystematicName, UmsRecord
-from ums.provenance import apply_event
+from ums.model import GENESIS_PREV, ProvenanceEvent, Subject, SystematicName, UmsRecord, replace
+from ums.provenance import apply_event, event_digest
 from ums.sidecar import canonical_serialize, parse_record
 
 
@@ -103,6 +104,49 @@ class TestExtract:
         odd.write_bytes(fixtures.pubmed_html())
         assert main(["extract", str(odd), "--carrier", "html", "--raw"]) == 0
         assert "pubmeddev" in capsys.readouterr().out
+
+    def test_a_file_without_extension_starting_with_markup_is_html(self, tmp_path, capsys):
+        page = tmp_path / "page"
+        page.write_bytes(b" \n\t" + fixtures.pubmed_html())
+        assert main(["extract", str(page), "--raw"]) == 0
+        assert "author = pubmeddev\n" in capsys.readouterr().out
+
+    def test_a_file_without_extension_or_markup_needs_the_carrier_flag(self, tmp_path, capsys):
+        notes = tmp_path / "notes"
+        notes.write_bytes(b"  plain text, no markup\n")
+        assert main(["extract", str(notes), "--raw"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"ums: cannot determine carrier of {notes}; use --carrier\n"
+
+    def test_a_mapping_table_with_one_more_key_changes_the_output(self, tmp_path, capsys):
+        page = tmp_path / "page.html"
+        page.write_bytes(
+            fixtures.pubmed_html().replace(
+                b"<head>\n", b'<head>\n<meta name="citation_date" content="2011-03-01">\n', 1
+            )
+        )
+        rules = "ums-mapping: 1\nhtml.Title -> name\nhtml.author -> creator\nhtml.citation_date -> date\n"
+        base, extended = tmp_path / "base.map", tmp_path / "extended.map"
+        base.write_text(rules, "utf-8")
+        extended.write_text(rules + "html.ncbi_db -> tag\n", "utf-8")
+        outputs = []
+        for table in (base, extended):
+            assert main(["--mapping", str(table), "extract", str(page)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert "\ndate: 2011-03-01\n" in outputs[0]
+        assert "tag: pubmed\n" not in outputs[0]
+        assert outputs[1] == outputs[0] + "tag: pubmed\n"
+
+    def test_a_malformed_mapping_table_exits_2_naming_its_line(self, tmp_path, capsys):
+        page = tmp_path / "page.html"
+        page.write_bytes(fixtures.pubmed_html())
+        table = tmp_path / "broken.map"
+        table.write_text("ums-mapping: 1\nhtml.Title -> name\n\nTitle becomes the name\n", "utf-8")
+        assert main(["--mapping", str(table), "extract", str(page)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "ums: line 4: expected 'carrier.Key -> field'\n"
 
 
 class TestLint:
@@ -214,6 +258,27 @@ class TestValidate:
         assert main(["--strict", "validate", str(path)]) == 1
         assert "CreatorNotInCatalog" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "catalog, message",
+        [
+            (b"metabase-catalog: 1\ncatalog: \n", "line 2: empty catalog name"),
+            (
+                b"metabase-catalog: 1\ncatalog: authors\n\n  synonym: Max Madman\n",
+                "line 4: synonym before any entry",
+            ),
+        ],
+        ids=["empty-name", "orphan-synonym"],
+    )
+    def test_a_malformed_catalog_exits_2_naming_its_line(self, tmp_path, capsys, catalog, message):
+        metabase_dir = tmp_path / "metabase"
+        metabase_dir.mkdir()
+        (metabase_dir / "authors.catalog").write_bytes(catalog)
+        path = write_sidecar(tmp_path / "doc.ums", full_record())
+        assert main(["--metabase", str(metabase_dir), "validate", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"ums: {message}\n"
+
 
 class TestAnnotate:
     def test_rename_adds_synonym_and_history_line(self, tmp_path, capsys):
@@ -297,6 +362,25 @@ class TestAnnotate:
         assert stat.S_IMODE(path.stat().st_mode) == mode
         assert [p.name for p in tmp_path.iterdir()] == ["doc.ums"]
 
+    def test_a_failed_replace_leaves_the_sidecar_and_no_temporary_file(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path = write_sidecar(tmp_path / "doc.ums", full_record())
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", str(dst))
+
+        monkeypatch.setattr(os, "replace", refuse)
+        argv = ["annotate", str(path), "--event", "rename", "--payload", "Octology",
+                "--timestamp", "2012-05-01T00:00:00Z"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("ums: [Errno 13] Permission denied")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.ums"]
+
     def test_tampered_history_blocks_annotation(self, tmp_path, capsys):
         record = apply_event(full_record(), "rename", "AAA", "2012-01-01T00:00:00Z")
         path = tmp_path / "doc.ums"
@@ -364,6 +448,22 @@ class TestHistory:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "line 3: synonym is not canonical" in captured.err
+
+    def test_verify_flags_a_genesis_with_a_payload(self, tmp_path, capsys):
+        genesis = ProvenanceEvent(0, "2011-03-01T16:35:22Z", "create", "draft", GENESIS_PREV)
+        path = write_sidecar(tmp_path / "doc.ums", full_record(history=(genesis,)))
+        assert main(["history", str(path), "--verify"]) == 1
+        assert capsys.readouterr().out == "broken at seq 0: create event carries a payload\n"
+
+    def test_verify_flags_a_second_create_with_a_correct_prev(self, tmp_path, capsys):
+        record = apply_event(full_record(), "rename", "A", "2012-01-01T00:00:00Z")
+        again = ProvenanceEvent(
+            2, "2012-02-01T00:00:00Z", "create", "", event_digest(record.history[-1])
+        )
+        record = replace(record, history=record.history + (again,))
+        path = write_sidecar(tmp_path / "doc.ums", record)
+        assert main(["history", str(path), "--verify"]) == 1
+        assert capsys.readouterr().out == "broken at seq 2: create after genesis\n"
 
     def test_listing_shows_events(self, tmp_path, capsys):
         record = apply_event(full_record(), "rename", "X", "2012-01-01T00:00:00Z")

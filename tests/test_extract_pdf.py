@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import fixtures
 import oracles
+from ums.cli import main
 from ums.errors import NotPdf, NotSupported
 from ums.extractors import extract_pdf_info
 
@@ -86,6 +87,41 @@ class TestMinimalPdf:
             "FileSize",
         ]
         assert pairs_dict(raw)["PageCount"] == "1"
+
+
+def _utf16_literal(value: str) -> bytes:
+    """A PDF literal string of *value* as UTF-16BE with its byte order
+    mark, every byte an octal escape."""
+    raw = b"\xfe\xff" + value.encode("utf-16-be")
+    return b"(" + b"".join(b"\\%03o" % byte for byte in raw) + b")"
+
+
+class TestUtf16Text:
+    def _extract_raw(self, tmp_path, capsys, info: bytes) -> list[str]:
+        objects = [
+            b"<< /Type /Catalog /Pages 2 0 R >>",
+            b"<< /Type /Pages /Kids [4 0 R] /Count 1 >>",
+            info,
+            fixtures._page(2),
+        ]
+        path = tmp_path / "unicode.pdf"
+        path.write_bytes(fixtures._pdf(objects, root=1, info=3))
+        assert main(["extract", str(path), "--raw"]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    def test_hex_and_literal_strings_with_a_byte_order_mark_decode(self, tmp_path, capsys):
+        title, author = "Октология: 漢字 — ½", "Zoë Ångström"
+        hex_title = b"<FEFF" + title.encode("utf-16-be").hex().upper().encode("ascii") + b">"
+        assert _utf16_literal(author).startswith(b"(\\376\\377")
+        out = self._extract_raw(
+            tmp_path, capsys, b"<< /Title " + hex_title + b" /Author " + _utf16_literal(author) + b" >>"
+        )
+        assert f"Title = {title}" in out
+        assert f"Author = {author}" in out
+
+    def test_an_odd_trailing_byte_reads_as_a_replacement_character(self, tmp_path, capsys):
+        out = self._extract_raw(tmp_path, capsys, b"<< /Title <FEFF0041004200> >>")
+        assert "Title = AB\ufffd" in out
 
 
 class TestXmpFixture:

@@ -4,15 +4,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ums.errors import InvalidTimestamp, InvariantViolation, MissingComponent
+from ums.languages import LANGUAGE_CODES
 from ums.model import (
+    DOC_TYPES,
+    EVENT_KINDS,
     GENESIS_PREV,
+    NAME_KINDS,
     IdentifierBinding,
     ProvenanceEvent,
     Subject,
     SystematicName,
     UmsRecord,
+    format_tag,
     parse_systematic_name,
 )
+from ums.sidecar import parse_record
 
 #: who-parts: any text, or text made of the characters the canonical form
 #: escapes and splits on
@@ -169,3 +175,65 @@ def test_record_rejection_names_field_and_index(fields, field, index):
     with pytest.raises((InvariantViolation, InvalidTimestamp)) as excinfo:
         UmsRecord(name="x", **fields)
     assert (excinfo.value.field, excinfo.value.index) == (field, index)
+
+
+def _fresh(token: str) -> str:
+    """A string equal to *token* but not the same object."""
+    copy = "".join([token[:1], token[1:]])
+    assert copy == token and copy is not token
+    return copy
+
+
+class TestSharedTokens:
+    """A record holds one shared string per closed-vocabulary token, and
+    a canonical format tag or identifier system as it was given."""
+
+    def test_a_canonical_format_tag_is_returned_as_given(self):
+        tag = _fresh("pdf")
+        assert format_tag(tag) is tag
+        assert format_tag("PDF") == "pdf"
+
+    def test_a_record_holds_the_registry_strings(self):
+        formats, system = (_fresh("pdf"), _fresh("html")), _fresh("DOI")
+        record = UmsRecord(
+            name="x",
+            formats=formats,
+            date="2011-03-01",
+            doc_type=_fresh("text"),
+            languages=(_fresh("en"), _fresh("deu"), "FR"),
+            identifiers=(IdentifierBinding(system, "10.1000/1"), IdentifierBinding("isbn", "1")),
+            history=(ProvenanceEvent(0, "2011-03-01", _fresh("create"), "", GENESIS_PREV),),
+        )
+        assert all(a is b for a, b in zip(record.formats, formats))
+        assert record.doc_type is DOC_TYPES["text"]
+        assert record.languages == ("en", "deu", "fr")
+        assert all(LANGUAGE_CODES[c] is c for c in record.languages)
+        assert record.identifiers[0].system is system
+        assert record.identifiers[1].system == "ISBN"
+        assert record.history[0].kind is EVENT_KINDS["create"]
+        name = SystematicName(kind=_fresh("person"), who=("Max",))
+        assert name.kind is NAME_KINDS["person"]
+        assert parse_systematic_name("organization:Lab||").kind is NAME_KINDS["organization"]
+
+    def test_a_parsed_sidecar_holds_the_registry_strings(self):
+        record = parse_record(
+            b"ums: 1\nname: x\nformat: pdf\ndate: 2011-03-01\ntype: image\nlanguage: en\n"
+            b"history: 0|2011-03-01|create||0000000000000000\n"
+        )
+        assert record.doc_type is DOC_TYPES["image"]
+        assert record.languages[0] is LANGUAGE_CODES["en"]
+        assert record.history[0].kind is EVENT_KINDS["create"]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ProvenanceEvent(0, "2011-03-01", ["create"], "", GENESIS_PREV),
+            lambda: SystematicName(kind=["person"], who=("Max",)),
+            lambda: UmsRecord(name="x", doc_type=["text"]),
+            lambda: UmsRecord(name="x", languages=(["en"],)),
+        ],
+        ids=["event-kind", "name-kind", "doc-type", "language"],
+    )
+    def test_an_unhashable_token_is_an_invariant_violation(self, build):
+        with pytest.raises(InvariantViolation):
+            build()
