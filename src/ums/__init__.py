@@ -39,15 +39,25 @@ _SOURCES = {
     "sidecar": "canonical_serialize parse_record parse_record_with_warnings",
     "validation": "ValidationReport Violation validate_record",
 }
-_HOME = {name: module for module, names in _SOURCES.items() for name in names.split()}
-
-__all__ = sorted(_HOME)
+__all__ = sorted(" ".join(_SOURCES.values()).split())
 
 
-def __getattr__(name: str):
-    module = _HOME.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+def lazy_loader(package: str, namespace: dict, sources: dict[str, str]):
+    """A PEP 562 ``__getattr__`` for *package*, whose globals are
+    *namespace*: each name *sources* lists (submodule -> the public names
+    it defines) is imported from its submodule on first use and then kept
+    in *namespace*."""
+    home = {name: module for module, names in sources.items() for name in names.split()}
+
+    def __getattr__(name: str):
+        module = home.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(import_module(f".{module}", package), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
+__getattr__ = lazy_loader(__name__, globals(), _SOURCES)

@@ -7,8 +7,8 @@ scored with Jaccard similarity over tag sets.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from operator import itemgetter
-from typing import Iterable, Sequence
 
 from .errors import UnknownRecord
 from .model import UmsRecord, Value, set_slot

@@ -11,14 +11,13 @@ import os
 import stat
 import sys
 import tempfile
-from typing import Optional
 
 # Only what every command may need is imported here; the extractors,
 # lint, the metabase and validation load inside the handlers that use
 # them, so a command pays start-up time only for the modules it runs.
 from . import timestamps
 from .association import CRITERIA, build_index, group_by, related
-from .errors import UmsError
+from .errors import BrokenChain, UmsError
 from .model import CARRIER_HTML, CARRIER_PDF, CARRIER_SIDECAR, EVENT_KINDS, is_complete
 from .provenance import apply_event, verify_history
 from .sidecar import (
@@ -35,16 +34,21 @@ EXIT_FINDINGS = 1
 EXIT_ERROR = 2
 
 
-class _Operational(Exception):
-    """Raised for exit-2 conditions with a user-facing message."""
-
-
 def _read(path: str) -> bytes:
     try:
         with open(path, "rb") as handle:
             return handle.read()
     except OSError as exc:
-        raise _Operational(f"cannot read {path}: {exc.strerror}") from None
+        raise UmsError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _parsed(path: str, parse, *args):
+    """*parse* of the bytes of *path*; a rejection names the file."""
+    data = _read(path)
+    try:
+        return parse(data, *args)
+    except UmsError as exc:
+        raise UmsError(f"{path}: {exc}") from None
 
 
 def _detect_carrier(path: str, data: bytes, flag: str) -> str:
@@ -59,7 +63,7 @@ def _detect_carrier(path: str, data: bytes, flag: str) -> str:
         return CARRIER_SIDECAR
     if data.lstrip()[:1] == b"<":
         return CARRIER_HTML
-    raise _Operational(f"cannot determine carrier of {path}; use --carrier")
+    raise UmsError(f"cannot determine carrier of {path}; use --carrier")
 
 
 def _extract_raw(path: str, data: bytes, carrier: str):
@@ -70,7 +74,7 @@ def _extract_raw(path: str, data: bytes, carrier: str):
         return extractors.extract_pdf_info(data)
     if carrier == CARRIER_HTML:
         return extractors.extract_html_meta(data)
-    raise _Operational(f"extraction does not support carrier {carrier!r}")
+    raise UmsError(f"extraction does not support carrier {carrier!r}")
 
 
 def _load_metabase(args):
@@ -80,16 +84,14 @@ def _load_metabase(args):
     if not directory:
         return None
     if not os.path.isdir(directory):
-        raise _Operational(f"metabase directory not found: {directory}")
+        raise UmsError(f"metabase directory not found: {directory}")
     return load_metabase(directory)
 
 
 def _mapping_table(args):
     from .extractors import DEFAULT_MAPPING, load_mapping
 
-    if args.mapping:
-        return load_mapping(_read(args.mapping))
-    return DEFAULT_MAPPING
+    return _parsed(args.mapping, load_mapping) if args.mapping else DEFAULT_MAPPING
 
 
 def _write_atomic(path: str, data: bytes) -> None:
@@ -114,7 +116,7 @@ def _write_atomic(path: str, data: bytes) -> None:
 
 def _sidecar_paths(directory: str) -> list[str]:
     if not os.path.isdir(directory):
-        raise _Operational(f"not a directory: {directory}")
+        raise UmsError(f"not a directory: {directory}")
     return sorted(
         os.path.join(directory, name)
         for name in os.listdir(directory)
@@ -123,13 +125,7 @@ def _sidecar_paths(directory: str) -> list[str]:
 
 
 def _load_corpus(directory: str):
-    records = []
-    for path in _sidecar_paths(directory):
-        try:
-            records.append(parse_record(_read(path), STRICT))
-        except UmsError as exc:
-            raise _Operational(f"{path}: {exc}") from None
-    return records
+    return [_parsed(path, parse_record, STRICT) for path in _sidecar_paths(directory)]
 
 
 def cmd_extract(args) -> int:
@@ -150,7 +146,7 @@ def cmd_extract(args) -> int:
         )
         if raw.errors:
             message += "; extraction errors: " + "; ".join(raw.errors)
-        raise _Operational(message)
+        raise UmsError(message)
     sys.stdout.write(canonical_serialize(record).decode("utf-8"))
     return EXIT_CLEAN
 
@@ -203,9 +199,7 @@ def cmd_annotate(args) -> int:
     record = parse_record(_read(args.path), STRICT)
     result = verify_history(record)
     if not result.ok:
-        raise _Operational(
-            f"history broken at seq {result.broken_at}: {result.detail}"
-        )
+        raise BrokenChain(result.broken_at, result.detail)
     timestamp = args.timestamp or timestamps.now()
     updated = apply_event(record, args.event, args.payload, timestamp)
     _write_atomic(args.path, canonical_serialize(updated))
@@ -241,7 +235,7 @@ def cmd_related(args) -> int:
     index = build_index(records)
     matches = [r for r in records if r.name == args.name]
     if not matches:
-        raise _Operational(f"no record named {args.name!r} in {args.directory}")
+        raise UmsError(f"no record named {args.name!r} in {args.directory}")
     for name, score in related(index, matches[0]):
         print(f"{name}\t{score:.6f}")
     return EXIT_CLEAN
@@ -301,11 +295,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (_Operational, UmsError, OSError) as exc:
+    except (UmsError, OSError) as exc:
         print(f"ums: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

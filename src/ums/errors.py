@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 
 class UmsError(Exception):
     """Base class for all toolkit errors."""
 
     #: set when a record check rejects a value: the record field and the
     #: index of the rejected entry (0 for a single-valued field)
-    field: Optional[str] = None
+    field: str | None = None
     index: int = 0
 
 

@@ -48,19 +48,25 @@ def unescape(value: str) -> str:
     return _ESCAPE_RE.sub(_decode_escape, value)
 
 
-def split_fields(value: str) -> list[str]:
-    """Split a compound value on unescaped ``|``; fields stay escaped."""
+def split_escaped(value: str, sep: str, part: re.Pattern) -> list[str]:
+    """Split escaped text on each *sep* outside an escape; *part* matches
+    one escaped part, up to the next such *sep*.  The parts stay escaped."""
     if "\\" not in value:
-        return value.split("|")
-    fields: list[str] = []
-    match = _FIELD_RE.match
+        return value.split(sep)
+    parts: list[str] = []
+    match = part.match
     start = 0
     while True:
         end = match(value, start).end()
-        fields.append(value[start:end])
+        parts.append(value[start:end])
         if end == len(value):
-            return fields
-        start = end + 1  # past the separating "|"
+            return parts
+        start = end + len(sep)
+
+
+def split_fields(value: str) -> list[str]:
+    """Split a compound value on unescaped ``|``; fields stay escaped."""
+    return split_escaped(value, "|", _FIELD_RE)
 
 
 def join_fields(fields: list[str]) -> str:

@@ -6,8 +6,7 @@ loads no HTML parser.
 
 from __future__ import annotations
 
-from importlib import import_module
-
+from .. import lazy_loader
 from ..model import CARRIER_HTML, CARRIER_PDF, CARRIER_SIDECAR, Value, set_slot
 
 
@@ -68,9 +67,6 @@ from .mapping import (  # noqa: E402
     map_raw_to_ums,
 )
 
-#: extractor submodule -> the public names it defines
-_SOURCES = {"html": "extract_html_meta", "pdf": "extract_pdf_info"}
-_HOME = {name: module for module, names in _SOURCES.items() for name in names.split()}
 
 __all__ = [
     "CARRIER_HTML",
@@ -88,11 +84,6 @@ __all__ = [
     "map_raw_to_ums",
 ]
 
-
-def __getattr__(name: str):
-    module = _HOME.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+__getattr__ = lazy_loader(
+    __name__, globals(), {"html": "extract_html_meta", "pdf": "extract_pdf_info"}
+)

@@ -141,8 +141,9 @@ def load_mapping(data: bytes) -> MappingTable:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MappingError(f"mapping table not UTF-8: {exc}") from None
-    lines = text.splitlines()
-    if not lines or lines[0] != MAPPING_HEADER:
+    # only a line feed ends a line; one carriage return before it is dropped
+    lines = text.replace("\r\n", "\n").split("\n")
+    if lines[0] != MAPPING_HEADER:
         raise MappingError(f"expected header {MAPPING_HEADER!r}")
     rules = []
     for line_no, line in enumerate(lines[1:], start=2):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 from itertools import compress
-from typing import Optional
 
 from ..errors import NotPdf, NotSupported
 from ..timestamps import display
@@ -237,7 +236,7 @@ def _parse_xref_tables(data: bytes):
         at = data.rfind(b"startxref", 0, at)
     if at < 0:
         raise _ParseError(len(data), "no startxref")
-    offset: Optional[int] = int(_STARTXREF_RE.match(data, at)[1])
+    offset: int | None = int(_STARTXREF_RE.match(data, at)[1])
 
     subsections: list[dict[int, int]] = []
     trailer: dict[str, object] = {}
@@ -302,7 +301,7 @@ _DOCUMENT_ID = _xmp_prop(b"xmpMM:DocumentID")
 _WHEN_ELEMENT, _WHEN_ATTRIBUTE = _xmp_prop(b"stEvt:when")
 
 
-def _xmp_span(data: bytes) -> Optional[tuple[int, int]]:
+def _xmp_span(data: bytes) -> tuple[int, int] | None:
     """Where the first ``<x:xmpmeta>`` element is, else the first xpacket."""
     start = data.find(b"<x:xmpmeta")
     end = data.find(b"</x:xmpmeta>", start + len(b"<x:xmpmeta")) if start >= 0 else -1
@@ -325,7 +324,7 @@ def _extract_xmp(data: bytes, builder: PairBuilder) -> None:
     def text(m: "re.Match[bytes]") -> str:
         return m[1].decode("utf-8", errors="replace")
 
-    def simple(patterns: tuple["re.Pattern[bytes]", "re.Pattern[bytes]"]) -> Optional[str]:
+    def simple(patterns: tuple["re.Pattern[bytes]", "re.Pattern[bytes]"]) -> str | None:
         element, attribute = patterns
         m = element.search(data, start, end)
         if m:
@@ -384,7 +383,7 @@ def extract_pdf_info(data: bytes) -> RawMetadata:
             builder.add(_INFO_KEY_NAMES.get(key, key), display(text) or text)
 
     catalog = _resolve(trailer.get("Root"), entries, data, errors)
-    page_count: Optional[int] = None
+    page_count: int | None = None
     if isinstance(catalog, dict):
         cat_version = catalog.get("Version")
         if isinstance(cat_version, str):

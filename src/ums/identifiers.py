@@ -8,7 +8,6 @@ resolvability stays unknown.
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 from .errors import UnknownSystem
 from .model import Value, set_slot
@@ -27,12 +26,12 @@ class IdentifierCheck(Value):
 
     __slots__ = _fields = ("valid", "reason")
 
-    def __init__(self, valid: bool, reason: Optional[str] = None):
+    def __init__(self, valid: bool, reason: str | None = None):
         set_slot(self, "valid", valid)
         set_slot(self, "reason", reason)
 
 
-def _digit_value(ch: str) -> Optional[int]:
+def _digit_value(ch: str) -> int | None:
     if ch.isdigit() and ch.isascii():
         return int(ch)
     if ch in ("X", "x"):

@@ -9,7 +9,8 @@ description.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from collections.abc import Iterable
+from typing import TYPE_CHECKING
 
 from .identifiers import BUILTIN_SYSTEMS, validate_identifier
 # perfbench/spans.py wraps ums.lint.resolve, and a traced run fails if it is unbound
@@ -134,7 +135,7 @@ def lint_raw(raw: RawMetadata) -> list[LintFinding]:
     return findings
 
 
-def lint_record(record: UmsRecord, metabase: Optional[Metabase] = None) -> list[LintFinding]:
+def lint_record(record: UmsRecord, metabase: Metabase | None = None) -> list[LintFinding]:
     """Diagnose a normalized record.
 
     Catalog-dependent rules only run when a metabase is supplied.

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from collections.abc import Iterable, Sequence
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence
 
 from . import timestamps
 from .errors import InvalidTimestamp, InvariantViolation, MissingComponent
-from .escaping import escape, split_fields, unescape
+from .escaping import escape, split_escaped, split_fields, unescape
 from .languages import LANGUAGE_CODES
 
 #: the closed vocabularies map each token to the registry's own string,
@@ -168,7 +168,7 @@ def _rejected(message: str, field: str, index: int = 0) -> InvariantViolation:
 
 
 def checked(
-    field: Optional[str], values: Iterable, rule=nfc, what: Optional[str] = None
+    field: str | None, values: Iterable, rule=nfc, what: str | None = None
 ) -> tuple:
     """Each value through *rule*; given *what*, a value must be non-empty
     text first.  A rejection names *field* and the index of the value it
@@ -253,23 +253,13 @@ class IdentifierBinding(Value):
         set_slot(self, "system", system)
         set_slot(self, "id", nfc(self.id))
 
-    # written out, as they run faster than Value's: verify_history hashes
-    # and compares the binding of every reclassify event
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.system, self.id) == (other.system, other.id)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.system, self.id))
-
 
 class Subject(Value):
     """A depicted object or phenomenon, optionally tied to a source catalog."""
 
     __slots__ = _fields = ("text", "source")
 
-    def __init__(self, text: str, source: Optional[str] = None):
+    def __init__(self, text: str, source: str | None = None):
         set_slot(self, "text", text)
         set_slot(self, "source", source)
         self.__post_init__()
@@ -319,9 +309,9 @@ class SystematicName(Value):
         self,
         kind: str,
         who: tuple[str, ...],
-        when: Optional[str] = None,
-        where: Optional[str] = None,
-        qualifier: Optional[str] = None,
+        when: str | None = None,
+        where: str | None = None,
+        qualifier: str | None = None,
     ):
         set_slot(self, "kind", kind)
         set_slot(self, "who", who)
@@ -363,22 +353,6 @@ class SystematicName(Value):
         return f"{self.kind}:" + "|".join(parts)
 
 
-def _split_who(segment: str) -> list[str]:
-    """Split an escaped who-segment on the backslash-comma marker; the
-    parts stay escaped."""
-    if "\\" not in segment:
-        return [segment]
-    parts: list[str] = []
-    match = _WHO_PART_RE.match
-    start = 0
-    while True:
-        end = match(segment, start).end()
-        parts.append(segment[start:end])
-        if end == len(segment):
-            return parts
-        start = end + len(_WHO_SEP)
-
-
 def parse_systematic_name(canonical: str) -> SystematicName:
     """Inverse of :attr:`SystematicName.canonical`."""
     kind, sep, rest = canonical.partition(":")
@@ -387,8 +361,9 @@ def parse_systematic_name(canonical: str) -> SystematicName:
     segments = split_fields(rest)
     if len(segments) not in (3, 4):
         raise InvariantViolation(f"bad canonical name arity: {canonical!r}")
+    who_parts = split_escaped(segments[0], _WHO_SEP, _WHO_PART_RE)
     try:
-        who = tuple(unescape(p) for p in _split_who(segments[0]))
+        who = tuple(unescape(p) for p in who_parts)
         when = unescape(segments[1]) or None
         where = unescape(segments[2]) or None
     except ValueError as exc:
@@ -417,9 +392,9 @@ class UmsRecord(Value):
         name: str = "",
         synonyms: tuple[str, ...] = (),
         formats: tuple[str, ...] = (),
-        date: Optional[str] = None,
-        doc_type: Optional[str] = None,
-        summary: Optional[str] = None,
+        date: str | None = None,
+        doc_type: str | None = None,
+        summary: str | None = None,
         languages: tuple[str, ...] = (),
         locations: tuple[str, ...] = (),
         creators: tuple[str, ...] = (),

@@ -8,8 +8,6 @@ so edits to recorded history surface on verification.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from . import timestamps
 from .errors import BrokenChain, InvariantViolation, MalformedPayload
 from .model import (
@@ -54,7 +52,7 @@ def event_digest(event: ProvenanceEvent) -> str:
     return hashlib.sha256(line.encode("utf-8")).hexdigest()[:16]
 
 
-def _derived(kind: str, payload: str) -> tuple[Optional[str], object]:
+def _derived(kind: str, payload: str) -> tuple[str | None, object]:
     """The record list an event of *kind* appends to and the value its
     *payload* appends ((None, None) for create), or raise MalformedPayload."""
     if kind == "create":
@@ -131,7 +129,7 @@ class VerifyResult(Value):
     __slots__ = _fields = ("ok", "chain_length", "broken_at", "detail")
 
     def __init__(
-        self, ok: bool, chain_length: int, broken_at: Optional[int] = None, detail: str = ""
+        self, ok: bool, chain_length: int, broken_at: int | None = None, detail: str = ""
     ):
         set_slot(self, "ok", ok)
         set_slot(self, "chain_length", chain_length)
@@ -166,12 +164,13 @@ def _reconstruct_original(final: tuple, contributions: list) -> tuple:
 
 
 def _replay(record: UmsRecord) -> dict[str, list]:
-    """Check a non-empty history: the genesis, the digest chain, then each
-    event's derived value against its record list.  Returns the values
-    each list got from events, in seq order, or raises BrokenChain at the
-    first break.  As events only append, the whole final list always
-    replays, so a malformed payload or a value missing from its list is
-    the only way the derived lists can break."""
+    """Check a non-empty history: the genesis, then each event in seq
+    order, its link in the digest chain before its derived value against
+    its record list.  Returns the values each list got from events, in seq
+    order, or raises BrokenChain at the first break.  As events only
+    append, the whole final list always replays, so a malformed payload or
+    a value missing from its list is the only way the derived lists can
+    break."""
     history = record.history
     genesis = history[0]  # a create event: UmsRecord rejects any other first
     if genesis.payload != "":
@@ -181,16 +180,14 @@ def _replay(record: UmsRecord) -> dict[str, list]:
     if record.date is not None and genesis.timestamp != record.date:
         raise BrokenChain(0, "create timestamp differs from record date")
 
-    for i in range(1, len(history)):
-        if history[i].kind == "create":
-            raise BrokenChain(history[i].seq, "create after genesis")
-        expected = event_digest(history[i - 1])
-        if history[i].prev != expected:
-            raise BrokenChain(history[i].seq, f"prev digest mismatch (expected {expected})")
-
     present = {field: set(getattr(record, field)) for field, _ in _DERIVED.values()}
     contributions: dict[str, list] = {field: [] for field in present}
-    for event in history[1:]:
+    for before, event in zip(history, history[1:]):
+        if event.kind == "create":
+            raise BrokenChain(event.seq, "create after genesis")
+        expected = event_digest(before)
+        if event.prev != expected:
+            raise BrokenChain(event.seq, f"prev digest mismatch (expected {expected})")
         try:
             field, value = _derived(event.kind, event.payload)
         except MalformedPayload as exc:

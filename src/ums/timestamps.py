@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 from datetime import datetime, timedelta, timezone
-from typing import Optional
 
 from .errors import InvalidTimestamp
 
@@ -78,7 +77,7 @@ def ensure_canonical(value: str) -> str:
     return value
 
 
-def display(value: str) -> Optional[str]:
+def display(value: str) -> str | None:
     """The display form ``YYYY:MM:DD hh:mm:ss[Z|+hh:mm]`` of a PDF ``D:``
     date or an ISO 8601 instant, or None for any other value.
 

@@ -119,6 +119,11 @@ class TestExtract:
         assert out == ""
         assert err == f"ums: cannot determine carrier of {notes}; use --carrier\n"
 
+    def test_a_sidecar_cannot_be_extracted(self, tmp_path, capsys):
+        path = write_sidecar(tmp_path / "doc.ums", full_record())
+        assert main(["extract", str(path)]) == 2
+        assert capsys.readouterr() == ("", "ums: extraction does not support carrier 'sidecar'\n")
+
     def test_a_mapping_table_with_one_more_key_changes_the_output(self, tmp_path, capsys):
         page = tmp_path / "page.html"
         page.write_bytes(
@@ -146,7 +151,7 @@ class TestExtract:
         assert main(["--mapping", str(table), "extract", str(page)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "ums: line 4: expected 'carrier.Key -> field'\n"
+        assert err == f"ums: {table}: line 4: expected 'carrier.Key -> field'\n"
 
 
 class TestLint:
@@ -258,6 +263,12 @@ class TestValidate:
         assert main(["--strict", "validate", str(path)]) == 1
         assert "CreatorNotInCatalog" in capsys.readouterr().out
 
+    def test_a_missing_metabase_directory_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-dir"
+        path = write_sidecar(tmp_path / "doc.ums", full_record())
+        assert main(["--metabase", str(missing), "validate", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"ums: metabase directory not found: {missing}\n")
+
     @pytest.mark.parametrize(
         "catalog, message",
         [
@@ -277,7 +288,7 @@ class TestValidate:
         assert main(["--metabase", str(metabase_dir), "validate", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"ums: {message}\n"
+        assert err == f"ums: {metabase_dir / 'authors.catalog'}: {message}\n"
 
 
 class TestAnnotate:
@@ -517,6 +528,19 @@ class TestGroupAndRelated:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"ums: {broken}: line 3: ")
+
+    @pytest.mark.parametrize("command", [["group", "--by", "format"], ["related", "alpha"]])
+    def test_a_file_is_not_a_corpus(self, tmp_path, capsys, command):
+        path = write_sidecar(tmp_path / "doc.ums", full_record())
+        assert main([command[0], str(path), *command[1:]]) == 2
+        assert capsys.readouterr() == ("", f"ums: not a directory: {path}\n")
+
+    def test_an_unreadable_sidecar_is_named_once(self, tmp_path, capsys):
+        corpus = make_corpus(tmp_path)
+        unreadable = corpus / "d.ums"
+        unreadable.mkdir()
+        assert main(["group", str(corpus), "--by", "format"]) == 2
+        assert capsys.readouterr() == ("", f"ums: cannot read {unreadable}: Is a directory\n")
 
 
 #: subcommand -> (argv, exit code, a piece of stdout); run in a fresh

@@ -186,6 +186,33 @@ class TestRejections:
         assert raw.errors == (f"offset {prev}: expected 'xref'",)
         assert pairs_dict(raw)["PageCount"] == "76"
 
+    def test_unterminated_hex_string_is_an_extraction_error(self):
+        data = fixtures.minimal_pdf().replace(b" >>\nstartxref", b" /ID <4142\nstartxref")
+        raw = extract_pdf_info(data)
+        assert raw.errors == (f"offset {data.index(b'<4142') + 1}: unterminated hex string",)
+        assert pairs_dict(raw)["PageCount"] == "1"  # regex fallback
+
+    def test_trailer_that_is_no_dictionary_is_an_extraction_error(self):
+        head, _, tail = fixtures.minimal_pdf().partition(b"trailer\n")
+        data = head + b"trailer\n42" + tail[tail.index(b"\nstartxref") :]
+        raw = extract_pdf_info(data)
+        at = data.index(b"trailer\n42") + len(b"trailer\n42")
+        assert raw.errors == (f"offset {at}: trailer is not a dictionary",)
+        assert pairs_dict(raw)["PageCount"] == "1"
+
+    def test_xref_entry_pointing_at_no_object_is_an_extraction_error(self):
+        data = fixtures.minimal_pdf()
+        info_at, trailer_at = data.index(b"3 0 obj"), data.index(b"trailer")
+        data = data.replace(b"%010d 00000 n" % info_at, b"%010d 00000 n" % trailer_at)
+        raw = extract_pdf_info(data)
+        assert raw.errors == (f"offset {trailer_at}: expected 'N G obj'",)
+        assert pairs_dict(raw)["PageCount"] == "1"
+
+    def test_object_missing_from_the_xref_is_an_extraction_error(self):
+        raw = extract_pdf_info(fixtures.minimal_pdf().replace(b"/Info 3 0 R", b"/Info 9 0 R"))
+        assert raw.errors == ("offset unknown for object 9",)
+        assert pairs_dict(raw)["PageCount"] == "1"
+
 
 #: bytes where the object, string and xref tokenizers decide something
 _EDGE_INSERTS = [

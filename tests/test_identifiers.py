@@ -37,6 +37,10 @@ class TestIsbn:
     def test_letters_rejected(self):
         assert validate_identifier("ISBN", "97816084543a0").reason == "BadCharacter"
 
+    @pytest.mark.parametrize("value", ["03064O6152", "\u0660306406152", "030640615Y"])
+    def test_isbn10_with_a_bad_head_or_check_character(self, value):
+        assert validate_identifier("ISBN", value).reason == "BadCharacter"
+
     def test_agreement_with_bruteforce_oracle(self):
         rng = random.Random(1607)
         for _ in range(2000):

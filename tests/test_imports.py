@@ -94,33 +94,69 @@ def test_unknown_name_is_an_attribute_error():
         ums.no_such_name  # noqa: B018
 
 
-@pytest.mark.parametrize(
-    "argv, code",
-    [
-        (["extract", "{pdf}"], 0),
-        # the default table maps no HTML date, so this one exits 2 once
-        # extraction and mapping have run
-        (["extract", "{html}"], 2),
-        (["lint", "{pdf}"], 1),
-        (["lint", "{sidecar}"], 1),
-        (["validate", "{sidecar}"], 0),
-        (["annotate", "{sidecar}", "--event", "rename", "--payload", "y"], 0),
-        (["history", "{sidecar}", "--verify"], 0),
-        (["group", "{dir}", "--by", "format"], 0),
-        (["related", "{dir}", "x"], 0),
-    ],
-    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
-)
-def test_no_command_loads_dataclasses_or_inspect(tmp_path, argv, code):
-    paths = {"pdf": tmp_path / "doc.pdf", "html": tmp_path / "doc.html", "sidecar": tmp_path / "doc.ums"}
+#: each command, on the files ``run_command`` writes, and its exit code
+COMMANDS = [
+    (["extract", "{pdf}"], 0),
+    # the default table maps no HTML date, so this one exits 2 once
+    # extraction and mapping have run
+    (["extract", "{html}"], 2),
+    (["lint", "{pdf}"], 1),
+    (["lint", "{sidecar}"], 1),
+    (["validate", "{sidecar}"], 0),
+    (["annotate", "{sidecar}", "--event", "rename", "--payload", "y"], 0),
+    (["history", "{sidecar}", "--verify"], 0),
+    (["group", "{dir}", "--by", "format"], 0),
+    (["related", "{dir}", "x"], 0),
+]
+
+
+def _command_id(value):
+    return " ".join(value) if isinstance(value, list) else None
+
+
+@pytest.fixture(scope="module")
+def run_command(tmp_path_factory):
+    """Runs a command of ``COMMANDS`` in a fresh interpreter, once, and
+    returns the modules it loaded."""
+    directory = tmp_path_factory.mktemp("commands")
+    paths = {"pdf": directory / "doc.pdf", "html": directory / "doc.html", "sidecar": directory / "doc.ums"}
     paths["pdf"].write_bytes(fixtures.octology_pdf())
     paths["html"].write_bytes(fixtures.pubmed_html())
     paths["sidecar"].write_bytes(b"ums: 1\nname: x\nformat: pdf\ndate: 2011-03-01\n")
-    argv = [arg.format(dir=tmp_path, **paths) for arg in argv]
-    loaded = _loaded_after(
-        "import contextlib, io\nfrom ums import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert cli.main({argv!r}) == {code}"
-    )
+    loaded: dict[tuple, list[str]] = {}
+
+    def run(argv: list[str], code: int) -> list[str]:
+        key = tuple(argv)
+        if key not in loaded:
+            argv = [arg.format(dir=directory, **paths) for arg in argv]
+            loaded[key] = _loaded_after(
+                "import contextlib, io\nfrom ums import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert cli.main({argv!r}) == {code}"
+            )
+        return loaded[key]
+
+    return run
+
+
+@pytest.fixture(scope="module")
+def bare_interpreter() -> set[str]:
+    """The modules ``python -c pass`` loads, ``site`` and its ``.pth``
+    files included."""
+    return set(_loaded_after("pass"))
+
+
+@pytest.mark.parametrize("argv, code", COMMANDS, ids=_command_id)
+def test_no_command_loads_dataclasses_or_inspect(run_command, argv, code):
+    loaded = run_command(argv, code)
     assert "dataclasses" not in loaded
     assert "inspect" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv, code", [c for c in COMMANDS if c[0][0] != "lint"], ids=_command_id
+)
+def test_no_command_but_lint_loads_typing(run_command, bare_interpreter, argv, code):
+    # every annotation is a string (from __future__ import annotations), so
+    # only lint's TYPE_CHECKING guard needs typing at run time
+    assert "typing" not in set(run_command(argv, code)) - bare_interpreter

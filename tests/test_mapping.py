@@ -135,6 +135,16 @@ def test_mapping_table_loads_from_file_format():
     assert record.identifiers == (IdentifierBinding(system="DOI", id="10.1234/abc"),)
 
 
+def test_only_a_line_feed_ends_a_table_line():
+    # the characters str.splitlines also breaks at stay in the line, and a
+    # carriage return before a line feed is dropped
+    key = "Dublin\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029Title"
+    table = load_mapping(f"ums-mapping: 1\r\nhtml.{key} -> name\r\n".encode())
+    assert table.rules == (MappingRule("html", key, "name"),)
+    record, unmapped = map_raw_to_ums(RawMetadata("html", ((key, "x"),)), table)
+    assert (record.name, unmapped) == ("x", ())
+
+
 def test_missing_header_rejected():
     with pytest.raises(MappingError):
         load_mapping(b"pdf.Title -> name\n")

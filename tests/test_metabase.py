@@ -77,8 +77,15 @@ class TestLoadCatalog:
             load_catalog(b"catalog: authors\n")
 
     def test_dump_round_trips(self):
-        catalog = small_catalog()
-        assert load_catalog(fixtures.dump_catalog(catalog)) == catalog
+        # the characters str.splitlines also breaks at stay in their value,
+        # and a carriage return before a line feed is dropped
+        breaks = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+        ann = SystematicName(kind="person", who=("Ann\u2028Lee", f"x{breaks}y"), where=breaks)
+        entry = CatalogEntry(systematic_name=ann, synonyms=(f"Ann{breaks}Lee", breaks))
+        catalog = Catalog(name=AUTHORS, entries=small_catalog().entries + (entry,))
+        data = fixtures.dump_catalog(catalog)
+        assert load_catalog(data) == catalog
+        assert load_catalog(data.replace(b"\n", b"\r\n")) == catalog
 
 
 class TestResolve:

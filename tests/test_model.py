@@ -141,6 +141,12 @@ class TestRecordInvariants:
         with pytest.raises(InvariantViolation):
             SystematicName(kind="person", who=("A",), qualifier="12\n")
 
+    def test_a_negative_seq_or_an_empty_where_is_rejected(self):
+        with pytest.raises(InvariantViolation, match="negative event seq"):
+            ProvenanceEvent(-1, "2020-01-02", "rename", "n", "a" * 16)
+        with pytest.raises(InvariantViolation, match="empty where component"):
+            SystematicName(kind="person", who=("A",), where="")
+
 
 _CREATE = ProvenanceEvent(0, "2020-01-01", "create", "", GENESIS_PREV)
 _RENAME = ProvenanceEvent(1, "2020-01-02", "rename", "n", "a" * 16)

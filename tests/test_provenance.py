@@ -50,6 +50,10 @@ class TestApplyEvent:
         record = apply_event(record, "translate", "de", "2012-02-01T00:00:00Z")
         assert record.languages == ("de",)
 
+    def test_create_with_a_payload_is_malformed(self):
+        with pytest.raises(MalformedPayload, match="create carries no payload"):
+            apply_event(octology(), "create", "x", "2011-03-01T16:35:22Z")
+
     def test_genesis_created_automatically_with_record_date(self):
         record = apply_event(octology(), "rename", "O", "2012-01-01T00:00:00Z")
         genesis = record.history[0]
@@ -141,12 +145,16 @@ class TestVerifyHistory:
             payload="AXA",
             prev=victim.prev,
         )
-        tampered = parse_record(
-            canonical_serialize(record).replace(b"|AAA|", b"|AXA|", 1)
-        )
+        data = canonical_serialize(record)
+        # edited in the event and in the list it mirrors into, only the
+        # next event's digest shows the edit
+        tampered = parse_record(data.replace(b"AAA", b"AXA"))
         result = verify_history(tampered)
         assert not result.ok
         assert result.broken_at == victim.seq + 1
+        # edited in the event alone, its own derived value is the first break
+        result = verify_history(parse_record(data.replace(b"|AAA|", b"|AXA|", 1)))
+        assert (result.broken_at, result.detail) == (victim.seq, _MISMATCH)
 
     def test_altered_final_payload_still_detected(self):
         record = apply_event(octology(), "rename", "AAA", "2012-01-01T00:00:00Z")
@@ -265,6 +273,20 @@ def test_malformed_final_payload_is_blamed_with_its_reason():
     data = canonical_serialize(record).replace(b"|reformat|html|", b"|reformat|HT ML|")
     result = verify_history(parse_record(data))
     assert (result.ok, result.broken_at, result.detail) == (False, 1, "bad format tag: 'ht ml'")
+
+
+def test_a_missing_value_before_a_broken_link_is_blamed_first():
+    record = octology()
+    for day, name in enumerate("abcd", start=1):
+        record = apply_event(record, "rename", name, f"2012-01-0{day}T00:00:00Z")
+    data = canonical_serialize(record).replace(b"synonym: b\n", b"")
+    prev = record.history[4].prev.encode()
+    tampered = parse_record(data.replace(b"|" + prev + b"\n", b"|" + b"0" * 16 + b"\n"))
+    assert tampered.history[4].prev == "0" * 16
+    assert verify_history(tampered) == provenance.VerifyResult(False, 5, 2, _MISMATCH)
+    with pytest.raises(BrokenChain) as excinfo:
+        original_view(tampered)
+    assert excinfo.value.seq == 2
 
 
 def test_missing_value_before_a_malformed_payload_is_blamed_first():
@@ -391,8 +413,10 @@ def test_verify_never_rebuilds_the_original(monkeypatch):
     data = canonical_serialize(record)
     edited = parse_record(data.replace(b"location: http://a\n", b"location: http://b\n"))
     assert verify_history(edited) == provenance.VerifyResult(False, 3, 2, _MISMATCH)
-    chain = verify_history(parse_record(data.replace(b"|AAA|", b"|AXA|", 1)))
+    chain = verify_history(parse_record(data.replace(b"AAA", b"AXA")))
     assert (chain.ok, chain.broken_at) == (False, 2)
+    payload = verify_history(parse_record(data.replace(b"|AAA|", b"|AXA|", 1)))
+    assert payload == provenance.VerifyResult(False, 3, 1, _MISMATCH)
     with pytest.raises(AssertionError):
         original_view(record)
 

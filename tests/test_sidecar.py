@@ -48,6 +48,11 @@ def test_missing_header_is_a_line_1_error():
     assert excinfo.value.line == 1
 
 
+def test_unknown_parse_mode_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown parse mode: 'loose'"):
+        parse_record(b"ums: 1\nname: x\nformat: pdf\ndate: 2011-03-01\n", "loose")
+
+
 def test_two_name_lines_rejected():
     doubled = MINIMAL + b"name: again\n"
     # name out of order as well, but duplication is the first offence reported

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 from ums.metabase import (
     AUTHORS,
     Catalog,
@@ -97,3 +99,8 @@ def test_validation_is_pure():
     first = validate_record(record, metabase, "strict")
     second = validate_record(record, metabase, "strict")
     assert first == second
+
+
+def test_unknown_validation_mode_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown validation mode: 'loose'"):
+        validate_record(full_record(), empty_metabase(), "loose")
