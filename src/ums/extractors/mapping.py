@@ -16,6 +16,7 @@ from .. import timestamps
 from ..errors import InvalidTimestamp, InvariantViolation, MappingError, RuleConflict
 from ..model import (
     SINGLETON_KEYS,
+    SYSTEM_RE,
     IdentifierBinding,
     Subject,
     UmsRecord,
@@ -50,7 +51,6 @@ _TARGETS = {
 #: distinct value
 _FIRST_ONLY = SINGLETON_KEYS | {"format", "creator"}
 _SINGLE_VALUED = frozenset(_TARGETS[key][0] for key in SINGLETON_KEYS)
-_IDENTIFIER_TARGET_RE = re.compile(r"identifier:([A-Z0-9]+)")
 _RULE_LINE_RE = re.compile(r"(\w+)\.(.+?) -> (\S+)")
 
 
@@ -63,31 +63,15 @@ class MappingRule(Value):
         set_slot(self, "target", target)
 
 
-def _format_rule(key: str, carrier: str):
-    """:func:`format_tag` of a value (of a MIME type's subtype); a value
-    that is no format tag states the carrier's own format, if the
-    carrier's name is a format tag."""
-
-    def rule(value: str) -> str:
-        if key == "MIMEType" and "/" in value:
-            value = value.rsplit("/", 1)[1]
-        try:
-            return format_tag(value)
-        except InvariantViolation:
-            return format_tag(carrier)
-
-    return rule
-
-
-def _slot(rule: MappingRule) -> tuple:
-    """The record field a rule fills, the rule its values pass, and
-    whether only the first value counts."""
-    if rule.target in _TARGETS:
-        record_field, shape = _TARGETS[rule.target]
-        if shape is format_tag:
-            shape = _format_rule(rule.key, rule.carrier)
-        return record_field, shape, rule.target in _FIRST_ONLY
-    system = _IDENTIFIER_TARGET_RE.fullmatch(rule.target).group(1)
+def _slot(target: str) -> tuple:
+    """The record field *target* fills, the rule its values pass, and
+    whether only the first value counts; raise for an unknown target."""
+    if target in _TARGETS:
+        record_field, shape = _TARGETS[target]
+        return record_field, shape, target in _FIRST_ONLY
+    prefix, _, system = target.partition(":")
+    if prefix != "identifier" or not SYSTEM_RE.fullmatch(system):
+        raise MappingError(f"unknown mapping target: {target!r}")
     return "identifiers", partial(IdentifierBinding, system), False
 
 
@@ -101,10 +85,7 @@ class MappingTable(Value):
         filled: set[tuple[str, str]] = set()
         slots: dict[str, dict[str, tuple]] = {}
         for rule in rules:
-            if rule.target not in _TARGETS and not _IDENTIFIER_TARGET_RE.fullmatch(
-                rule.target
-            ):
-                raise MappingError(f"unknown mapping target: {rule.target!r}")
+            slot = _slot(rule.target)
             if rule.target in SINGLETON_KEYS:
                 filling = (rule.carrier, rule.target)
                 if filling in filled:
@@ -112,9 +93,7 @@ class MappingTable(Value):
                         f"two rules target {rule.target} for carrier {rule.carrier}"
                     )
                 filled.add(filling)
-            by_key = slots.setdefault(rule.carrier, {})
-            if rule.key not in by_key:
-                by_key[rule.key] = _slot(rule)
+            slots.setdefault(rule.carrier, {}).setdefault(rule.key, slot)
         set_slot(self, "_slots", slots)
 
 
@@ -124,9 +103,6 @@ DEFAULT_MAPPING = MappingTable(
         MappingRule("pdf", "Author", "creator"),
         MappingRule("pdf", "Creator", "creator"),
         MappingRule("pdf", "CreateDate", "date"),
-        MappingRule("pdf", "FileType", "format"),
-        MappingRule("pdf", "MIMEType", "format"),
-        MappingRule("pdf", "PDFVersion", "format"),
         MappingRule("html", "Title", "name"),
         MappingRule("html", "author", "creator"),
         MappingRule("html", "Author", "creator"),

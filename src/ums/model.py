@@ -67,7 +67,8 @@ LENIENT = "lenient"
 #: a format tag (whole-string match); every format is checked with
 #: :func:`format_tag`
 FORMAT_RE = re.compile(r"[a-z0-9]+")
-_SYSTEM_RE = re.compile(r"[A-Z0-9]+")
+#: an identifier system token as records store it (whole-string match)
+SYSTEM_RE = re.compile(r"[A-Z0-9]+")
 _PREV_RE = re.compile(r"[0-9a-f]{16}")
 _QUALIFIER_RE = re.compile(r"\d+", re.ASCII)
 
@@ -244,9 +245,9 @@ class IdentifierBinding(Value):
 
     def __post_init__(self):
         system = self.system
-        if not _SYSTEM_RE.fullmatch(system):
+        if not SYSTEM_RE.fullmatch(system):
             system = nfc(system).upper()
-            if not _SYSTEM_RE.fullmatch(system):
+            if not SYSTEM_RE.fullmatch(system):
                 raise InvariantViolation(f"bad system token: {self.system!r}")
         if self.id == "":
             raise InvariantViolation("empty identity number")

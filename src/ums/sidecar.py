@@ -132,7 +132,12 @@ def canonical_serialize(record: UmsRecord) -> bytes:
     for line_start, canonical in _LINE_STARTS:
         out.append(line_start.join(["", *canonical(record)]))
     out.append("\n")
-    return "".join(out).encode("utf-8")
+    text = "".join(out)
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate: undecodable argv bytes arrive so
+        line = text[text.rfind("\n", 0, exc.start) + 1 : text.find("\n", exc.start)]
+        raise InvariantViolation(f"not encodable as UTF-8: {line!r}") from None
 
 
 def _parse_history_value(value: str) -> ProvenanceEvent:

@@ -317,6 +317,8 @@ def map_raw_to_ums_reference(raw, table):
     own rules: one branch per target, each restating its rule, and list
     targets deduplicated on the raw value, so values equal only after
     NFC reach the record twice and it raises ``InvariantViolation``.
+    A format value that is no format tag is unmapped, and only a record
+    with no mapped format takes the carrier's name as its format.
     Builds the same ``(record, unmapped)`` wherever it returns."""
     from ums.errors import InvalidTimestamp, InvariantViolation, MappingError
     from ums.extractors import base_key
@@ -356,13 +358,8 @@ def map_raw_to_ums_reference(raw, table):
                 creators.append(value)
                 mapped = True
         elif target == "format":
-            if not formats:
-                if base_key(key) == "MIMEType" and "/" in value:
-                    candidate = value.rsplit("/", 1)[1].lower()
-                else:
-                    candidate = value.lower()
-                ok = _FORMAT_TAG_RE.fullmatch(candidate)
-                formats.append(candidate if ok else raw.carrier)
+            if not formats and _FORMAT_TAG_RE.fullmatch(value.lower()):
+                formats.append(value.lower())
                 mapped = True
         elif target in ("location", "tag", "subject"):
             bucket = {"location": locations, "tag": tags, "subject": subjects}[target]

@@ -431,6 +431,27 @@ class TestAnnotate:
         assert path.read_bytes() == before
         assert main(["history", str(path)]) == 0
 
+    @pytest.mark.parametrize(
+        "event, payload, line",
+        [
+            ("rename", "\udcff", "synonym: \\udcff"),
+            ("relocate", "\udcff", "location: \\udcff"),
+            ("reclassify", "DOI|\udcff", "identifier: DOI|\\udcff"),
+        ],
+    )
+    def test_a_payload_that_is_no_utf8_is_refused(self, tmp_path, capsys, event, payload, line):
+        # argument bytes that are not UTF-8 reach Python as lone surrogates
+        path = write_sidecar(tmp_path / "doc.ums", full_record())
+        before = path.read_bytes()
+        argv = ["annotate", str(path), "--event", event, "--payload", payload,
+                "--timestamp", "2012-05-01T00:00:00Z"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"ums: not encodable as UTF-8: '{line}'\n"
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.ums"]
+
 
 class TestHistory:
     def test_verify_prints_chain_length(self, tmp_path, capsys):

@@ -69,6 +69,11 @@ def test_attribute_values_keep_legacy_references_before_a_letter_digit_or_equals
     )
 
 
+def test_a_reference_no_name_starts_is_kept_as_written():
+    page = b'<meta name="x" content="&zzzz a">'
+    assert extract_html_meta(page).pairs[0] == ("x", "&zzzz a")
+
+
 @pytest.mark.parametrize(
     "reference",
     ["&#0;", "&#9;", "&#11;", "&#13;", "&#31;", "&#32;", "&#126;", "&#127;", "&#128;", "&#159;",

@@ -208,6 +208,26 @@ class TestRejections:
         assert raw.errors == (f"offset {trailer_at}: expected 'N G obj'",)
         assert pairs_dict(raw)["PageCount"] == "1"
 
+    @pytest.mark.parametrize(
+        "cut", [b"<< /Keywords [ (x)", b"<< /Title", b"<< /Title (x) "],
+        ids=["in-array", "after-key", "before-key"],
+    )
+    def test_info_cut_off_at_the_end_of_the_file_is_an_extraction_error(self, cut):
+        # the Info object moved after %%EOF, and the file ends inside it
+        data = fixtures.minimal_pdf()
+        info_at = data.index(b"3 0 obj")
+        data = data.replace(b"%010d 00000 n" % info_at, b"%010d 00000 n" % len(data))
+        data += b"3 0 obj\n" + cut
+        raw = extract_pdf_info(data)
+        assert raw.errors == (f"offset {len(data)}: unexpected end of data",)
+        assert pairs_dict(raw)["PageCount"] == "1"
+
+    def test_a_last_startxref_without_offset_falls_back_to_the_one_before(self):
+        data = fixtures.minimal_pdf() + b"startxref\n%%EOF\n"
+        raw = extract_pdf_info(data)
+        assert raw.errors == ()
+        assert pairs_dict(raw)["PageCount"] == "1"
+
     def test_object_missing_from_the_xref_is_an_extraction_error(self):
         raw = extract_pdf_info(fixtures.minimal_pdf().replace(b"/Info 3 0 R", b"/Info 9 0 R"))
         assert raw.errors == ("offset unknown for object 9",)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import unicodedata
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,14 +20,16 @@ from ums.extractors import (
     MappingRule,
     MappingTable,
     RawMetadata,
+    base_key,
     extract_html_meta,
     extract_pdf_info,
     load_mapping,
     map_raw_to_ums,
 )
 from ums.lint import lint_raw
-from ums.model import IdentifierBinding, Subject, is_complete
+from ums.model import IdentifierBinding, Subject, format_tag, is_complete, nfc
 from ums.sidecar import canonical_serialize, parse_record
+from ums.timestamps import normalize
 
 
 class TestOctologyMapping:
@@ -46,18 +49,44 @@ class TestOctologyMapping:
     def test_nothing_is_lost(self, octology_pdf):
         raw = extract_pdf_info(octology_pdf)
         record, unmapped = map_raw_to_ums(raw)
-        mapped = [pair for pair in raw.pairs if pair not in unmapped]
-        # every mapped pair's value is visible in the record
-        for key, value in mapped:
-            if key == "CreateDate":
-                assert record.date == "2011-03-01T16:35:22Z"
-            elif key == "Title":
-                assert value == record.name
-            elif key == "Author":
-                assert value in record.creators
-            else:  # a format-ish pair
-                assert record.formats
-        assert len(mapped) + len(unmapped) == len(raw.pairs)
+        assert_every_pair_lands(raw, record, unmapped)
+
+    def test_header_version_is_unmapped(self, octology_pdf):
+        # a version is no format tag: the format comes from the carrier
+        record, unmapped = map_raw_to_ums(extract_pdf_info(octology_pdf))
+        assert ("PDFVersion", "1.4") in unmapped
+        assert record.formats == ("pdf",)
+
+
+#: where the value of a mapping target lands: the record field and the
+#: model's rule for one value
+_LANDS = {
+    "name": ("name", nfc),
+    "format": ("formats", format_tag),
+    "date": ("date", normalize),
+    "creator": ("creators", nfc),
+    "identifier:PMID": ("identifiers", partial(IdentifierBinding, "PMID")),
+}
+
+
+def assert_every_pair_lands(raw, record, unmapped):
+    """The unmapped pairs are the raw pairs, in order, less the mapped
+    ones, and each mapped pair's value, shaped by its target's rule, is
+    in the record field that target fills."""
+    targets = {}
+    for rule in DEFAULT_MAPPING.rules:
+        if rule.carrier == raw.carrier:
+            targets.setdefault(rule.key, rule.target)
+    rest = iter(unmapped)
+    pending = next(rest, None)
+    for key, value in raw.pairs:
+        if (key, value) == pending:
+            pending = next(rest, None)
+            continue
+        record_field, rule = _LANDS[targets[base_key(key)]]
+        got = getattr(record, record_field)
+        assert rule(value) in (got if isinstance(got, tuple) else (got,)), (key, value)
+    assert pending is None, "unmapped pairs out of extraction order"
 
 
 class TestPubmedMapping:
@@ -167,9 +196,17 @@ def test_repeat_suffixed_keys_match_their_base_rule():
 
 
 def test_format_value_with_trailing_line_feed_falls_back_to_carrier():
+    table = load_mapping(b"ums-mapping: 1\npdf.FileType -> format\n")
     raw = RawMetadata(carrier="pdf", pairs=(("FileType", "HTML\n"),))
-    record, _ = map_raw_to_ums(raw)
-    assert record.formats == ("pdf",)
+    record, unmapped = map_raw_to_ums(raw, table)
+    assert (record.formats, unmapped) == (("pdf",), raw.pairs)
+
+
+def test_a_mime_type_is_no_format_tag():
+    table = load_mapping(b"ums-mapping: 1\npdf.MIMEType -> format\n")
+    pairs = (("MIMEType", "application/pdf"), ("MIMEType (1)", "PDF"))
+    record, unmapped = map_raw_to_ums(RawMetadata("pdf", pairs), table)
+    assert (record.formats, unmapped) == (("pdf",), pairs[:1])
 
 
 def test_carrier_that_is_no_format_tag_gives_no_format():
@@ -325,6 +362,20 @@ def test_hostile_carriers_raise_only_not_pdf_or_not_supported(carrier):
     lint_raw(raw)
     if is_complete(record):
         assert parse_record(canonical_serialize(record)) == record
+
+
+@settings(max_examples=fixtures.examples(300), deadline=None)
+@given(st.one_of(st.sampled_from(_CARRIERS), _mutated_carrier()))
+def test_default_mapping_keeps_every_pair_and_takes_the_format_from_the_carrier(carrier):
+    data, extract = carrier
+    try:
+        raw = extract(data)
+    except (NotPdf, NotSupported):
+        return
+    record, unmapped = map_raw_to_ums(raw)
+    assert_every_pair_lands(raw, record, unmapped)
+    # a PDF always has pairs, so its record's format is always "pdf"
+    assert record.formats == ((raw.carrier,) if raw.pairs else ())
 
 
 _MAPPING_FILE = (

@@ -76,6 +76,12 @@ class TestLoadCatalog:
         with pytest.raises(SidecarSyntaxError):
             load_catalog(b"catalog: authors\n")
 
+    def test_a_bad_escape_in_an_entry_names_its_line(self):
+        data = b"metabase-catalog: 1\ncatalog: authors\nentry: person:a\\q||\n"
+        with pytest.raises(SidecarSyntaxError) as excinfo:
+            load_catalog(data)
+        assert str(excinfo.value) == "line 3: bad entry: bad canonical name: bad escape \\q"
+
     def test_dump_round_trips(self):
         # the characters str.splitlines also breaks at stay in their value,
         # and a carriage return before a line feed is dropped

@@ -169,6 +169,12 @@ def test_round_trip_and_idempotence(seed):
     assert canonical_serialize(parse_record(data)) == data
 
 
+def test_text_that_is_no_utf8_cannot_serialize():
+    record = UmsRecord(name="\udcff", formats=("pdf",), date="2011-03-01")
+    with pytest.raises(UmsError, match="not encodable as UTF-8"):
+        canonical_serialize(record)
+
+
 def test_date_with_trailing_line_feed_cannot_reach_the_serializer():
     with pytest.raises(InvalidTimestamp):
         UmsRecord(name="x", formats=("pdf",), date="2011-03-01\n")
@@ -222,6 +228,13 @@ def test_bad_value_names_its_line(line_no, bad_line):
     with pytest.raises(SidecarSyntaxError) as excinfo:
         parse_record(("\n".join(lines) + "\n").encode())
     assert excinfo.value.line == line_no
+
+
+def test_an_empty_subject_names_its_line():
+    lines = GOOD_LINES[:4] + ["subject: |src"] + GOOD_LINES[5:]
+    with pytest.raises(SidecarSyntaxError) as excinfo:
+        parse_record(("\n".join(lines) + "\n").encode())
+    assert str(excinfo.value) == "line 5: empty subject"
 
 
 @pytest.mark.parametrize("bad_line", ["identifier: d!|x", "identifier: DOI|", "subject: a|"])

@@ -305,6 +305,23 @@ def test_replace_builds_and_checks_again(name):
         model.replace(value, no_such_field=1)
 
 
+def _init_false_replace_error() -> type:
+    """What ``dataclasses.replace`` raises, on this interpreter, for a
+    genuine dataclass's ``init=False`` field (ValueError before 3.13,
+    TypeError since)."""
+    import dataclasses
+
+    @dataclasses.dataclass
+    class Reference:
+        derived: int = dataclasses.field(default=0, init=False)
+
+    try:
+        dataclasses.replace(Reference(), derived=1)
+    except Exception as exc:
+        return type(exc)
+    raise AssertionError("dataclasses.replace set an init=False field")
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_dataclasses_functions_accept_values(name):
     """Code written for the former dataclasses keeps working."""
@@ -326,6 +343,6 @@ def test_dataclasses_functions_accept_values(name):
     else:
         assert dataclasses.replace(value, **changes) == model.replace(value, **changes)
     for derived in set(cls.__slots__) - set(cls._fields):
-        with pytest.raises(ValueError):
+        with pytest.raises(_init_false_replace_error()):
             dataclasses.replace(value, **{derived: None})
     assert tuple(dataclasses.asdict(value)) == cls.__slots__
