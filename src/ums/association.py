@@ -7,8 +7,10 @@ scored with Jaccard similarity over tag sets.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Sequence
-from operator import itemgetter
+from itertools import chain
+from operator import attrgetter, itemgetter
 
 from .errors import UnknownRecord
 from .model import UmsRecord, Value, set_slot
@@ -62,47 +64,54 @@ def group_by(
 class CorpusIndex(Value):
     """Immutable snapshot of a record corpus plus its tag postings.
 
-    ``tag_index`` maps each tag to the records carrying it, in corpus
-    order; ``untagged`` maps ``id(record)`` to each record without tags,
-    so membership of an indexed record never scans the corpus.
+    ``records`` is the corpus in its own order.  ``by_name`` holds the
+    same records sorted by name (a stable sort, so namesakes keep their
+    corpus order), derived from ``records``.  ``tag_index`` maps each
+    tag to the ascending positions in ``by_name`` of the records
+    carrying it; a record listed k times has k positions.
+    ``untagged`` maps ``id(record)`` to each record without tags, so
+    membership of an indexed record never scans the corpus.
     """
 
-    __slots__ = _fields = ("records", "tag_index", "untagged")
+    _fields = ("records", "tag_index", "untagged")
+    __slots__ = _fields + ("by_name",)
 
     def __init__(
         self,
         records: tuple[UmsRecord, ...],
-        tag_index: dict[str, tuple[UmsRecord, ...]],
+        tag_index: dict[str, tuple[int, ...]],
         untagged: dict[int, UmsRecord],
     ):
         set_slot(self, "records", records)
         set_slot(self, "tag_index", tag_index)
         set_slot(self, "untagged", untagged)
+        set_slot(self, "by_name", tuple(sorted(records, key=attrgetter("name"))))
 
 
 def build_index(records: Sequence[UmsRecord]) -> CorpusIndex:
-    """One-pass index build; rebuilding from the same records is identical."""
-    tag_index: dict[str, list[UmsRecord]] = {}
-    untagged: dict[int, UmsRecord] = {}
-    for record in records:
+    """The constructor sorts the corpus by name once; one pass over that
+    order fills the new index's postings and untagged records.
+    Rebuilding from the same records is identical."""
+    index = CorpusIndex(tuple(records), {}, {})
+    postings: dict[str, list[int]] = {}
+    for position, record in enumerate(index.by_name):
         if not record.tags:
-            untagged[id(record)] = record
+            index.untagged[id(record)] = record
         for tag in record.tags:
-            tag_index.setdefault(tag, []).append(record)
-    return CorpusIndex(
-        records=tuple(records),
-        tag_index={tag: tuple(rs) for tag, rs in tag_index.items()},
-        untagged=untagged,
-    )
+            postings.setdefault(tag, []).append(position)
+    index.tag_index.update((tag, tuple(ps)) for tag, ps in postings.items())
+    return index
 
 
 def related(index: CorpusIndex, record: UmsRecord) -> list[tuple[str, float]]:
     """Rank other records sharing at least one tag by Jaccard similarity.
 
-    Candidates come from the postings of the record's own tags.  Ties
-    break on name; the record itself, and any record equal to it, is
-    excluded.  Raises UnknownRecord when *record* is not part of the
-    index.
+    Counter counts, in C, how many of the record's tags each position in
+    the postings of those tags carries: the tags the two records share,
+    as tags are unique per record.  Positions ascend in name order, so
+    one stable sort by score leaves ties by name.  The record itself,
+    and any record equal to it, shares all its tags and is excluded.
+    Raises UnknownRecord when *record* is not part of the index.
     """
     mine = record.tags
     if not mine:
@@ -110,32 +119,19 @@ def related(index: CorpusIndex, record: UmsRecord) -> list[tuple[str, float]]:
         if untagged.get(id(record)) is not record and record not in untagged.values():
             raise UnknownRecord(f"record not in index: {record.name!r}")
         return []
+    tag_index, by_name, size = index.tag_index, index.by_name, len(mine)
+    counts = Counter(chain.from_iterable([tag_index.get(tag, ()) for tag in mine]))
     indexed = False
-    counts: dict[int, int] = {}  # id -> postings of *mine* that hold it
-    others: dict[int, UmsRecord] = {}
-    for tag in mine:
-        for other in index.tag_index.get(tag, ()):
-            key = id(other)
-            if key in counts:
-                counts[key] += 1
-            elif other is record or (other.name == record.name and other == record):
-                indexed = True
-            else:
-                counts[key] = 1
-                others[key] = other
+    scored: list[tuple[str, float]] = []
+    for position in sorted(counts):
+        other, shared = by_name[position], counts[position]
+        if shared == size and (
+            other is record or (other.name == record.name and other == record)
+        ):
+            indexed = True
+        else:
+            scored.append((other.name, shared / (size + len(other.tags) - shared)))
     if not indexed:
         raise UnknownRecord(f"record not in index: {record.name!r}")
-    # A record listed k times in the corpus sits k times in each of its
-    # postings, so its count is k * shared.  Tags are unique per record,
-    # so |mine | theirs| = |mine| + |theirs| - shared.
-    scored: list[tuple[str, float]] = []
-    for key, count in counts.items():
-        other = others[key]
-        shared = 1 if count == 1 else len(set(mine).intersection(other.tags))
-        pair = (other.name, shared / (len(mine) + len(other.tags) - shared))
-        scored.append(pair)
-        if count > shared:
-            scored += [pair] * (count // shared - 1)
-    scored.sort(key=itemgetter(0))
     scored.sort(key=itemgetter(1), reverse=True)  # stable: ties stay by name
     return scored

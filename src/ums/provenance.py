@@ -45,11 +45,16 @@ _DERIVED = {
 
 
 def event_digest(event: ProvenanceEvent) -> str:
-    """16 hex chars of SHA-256 over the event's serialized line."""
+    """16 hex chars of SHA-256 over the event's serialized line; raises
+    InvariantViolation for a line that is no UTF-8 (a lone surrogate)."""
     import hashlib  # here, so that group and related never load it
 
     line = serialize_event(event)
-    return hashlib.sha256(line.encode("utf-8")).hexdigest()[:16]
+    try:
+        data = line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise InvariantViolation(f"not encodable as UTF-8: {line!r}") from None
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def _derived(kind: str, payload: str) -> tuple[str | None, object]:

@@ -130,6 +130,53 @@ class TestRelated:
             assert related(index, record) == expected
             assert related(index, copy.copy(record)) == expected
 
+    @settings(max_examples=fixtures.examples(40), deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_oracle_over_long_postings(self, seed):
+        """Up to about 60 records over a pool of four tags, so each tag's
+        postings hold many records: namesakes with other tag sets (one
+        name at several scores), equal copies, one object listed two or
+        three times and untagged records, in shuffled corpus order."""
+        rng = random.Random(seed)
+        pool = ("x", "y", "z", "w")
+
+        def tagged(name):
+            tags = tuple(rng.sample(pool, rng.randint(1, len(pool))))
+            return rec(name, tags=tags, date=f"20{rng.randrange(100):02d}-01-01")
+
+        records = [tagged(f"r{rng.randrange(8)}") for _ in range(rng.randint(1, 40))]
+        namesake = records[0]
+        records += [tagged(namesake.name) for _ in range(rng.randint(1, 4))]
+        records += [copy.copy(rng.choice(records)) for _ in range(rng.randint(1, 4))]
+        listed = rng.choice(records)
+        records += [listed] * rng.randint(1, 2)
+        records += [rec(f"r{rng.randrange(8)}") for _ in range(rng.randint(1, 4))]
+        rng.shuffle(records)
+        index = build_index(records)
+        for record in records:
+            expected = oracles.related_ranking(records, record)
+            assert related(index, record) == expected
+            assert related(index, copy.copy(record)) == expected
+
+    def test_a_record_listed_k_times_ranks_k_times(self):
+        listed = rec("b", tags=("x", "y"))
+        records = [listed, rec("a", tags=("x",)), listed, rec("c", tags=("y",)), listed]
+        assert related(build_index(records), records[1]) == [("b", 0.5)] * 3
+        with_copy = records + [copy.copy(records[1])]
+        assert related(build_index(with_copy), records[1]) == [("b", 0.5)] * 3
+
+    def test_ties_break_by_name_whatever_the_corpus_order(self):
+        records = [
+            rec("d", tags=("x",)),
+            rec("b", tags=("x", "y")),
+            rec("c", tags=("x",)),
+            rec("a", tags=("x",)),
+            rec("b", tags=("x",)),
+        ]
+        assert related(build_index(records), records[1]) == [
+            ("a", 0.5), ("b", 0.5), ("c", 0.5), ("d", 0.5)
+        ]
+
     def test_equal_copy_is_accepted_and_excluded(self):
         records = [rec("a", tags=("x",)), rec("b", tags=("x",)), rec("u")]
         index = build_index(records)
@@ -170,5 +217,22 @@ class TestIndex:
             rec("a", tags=("x",)),
         ]
         index = build_index(records)
-        names = {tag: [r.name for r in rs] for tag, rs in index.tag_index.items()}
-        assert names == {"x": ["b", "a"], "y": ["b"]}
+        assert index.by_name == (records[1], records[0])
+        names = {
+            tag: [index.by_name[p].name for p in ps] for tag, ps in index.tag_index.items()
+        }
+        assert names == {"x": ["a", "b"], "y": ["b"]}
+        assert index.untagged == {}
+
+    def test_records_keep_corpus_order(self):
+        # perfbench's catalog-query looks its targets up as
+        # index.records[i] and checks each against the i-th generated
+        # record, so the name order lives in by_name, never in records
+        rng = random.Random(11)
+        records = [recgen.base_record(rng) for _ in range(30)] + [rec("0"), rec("a")]
+        rng.shuffle(records)
+        index = build_index(records)
+        assert index.records == tuple(records)
+        assert [r.name for r in index.by_name] == sorted(r.name for r in records)
+        for ps in index.tag_index.values():
+            assert list(ps) == sorted(set(ps))

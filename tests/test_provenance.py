@@ -10,8 +10,8 @@ import fixtures
 import oracles
 import recgen
 from ums import provenance
-from ums.errors import BrokenChain, MalformedPayload, UmsError
-from ums.model import GENESIS_PREV, IdentifierBinding, ProvenanceEvent, UmsRecord
+from ums.errors import BrokenChain, InvariantViolation, MalformedPayload, UmsError
+from ums.model import GENESIS_PREV, IdentifierBinding, ProvenanceEvent, UmsRecord, replace
 from ums.provenance import (
     _reconstruct_original,
     apply_event,
@@ -107,6 +107,19 @@ class TestApplyEvent:
         with pytest.raises(MalformedPayload):
             apply_event(record, "create", "", "2012-01-01T00:00:00Z")
 
+    def test_an_event_that_is_no_utf8_stops_the_next_append(self):
+        # text from undecodable bytes holds lone surrogates; the event is
+        # recorded, but its digest names the line instead of leaking
+        # UnicodeEncodeError
+        record = apply_event(octology(), "rename", "\udcff", "2012-01-01T00:00:00Z")
+        assert record.synonyms == ("\udcff",)
+        line = "1|2012-01-01T00:00:00Z|rename|\\udcff|"
+        with pytest.raises(InvariantViolation, match="not encodable as UTF-8: ") as info:
+            apply_event(record, "rename", "b", "2012-01-02T00:00:00Z")
+        assert str(info.value).startswith(f"not encodable as UTF-8: '{line}")
+        with pytest.raises(InvariantViolation, match="not encodable as UTF-8: "):
+            event_digest(record.history[1])
+
 
 class TestVerifyHistory:
     def test_untampered_record_after_five_events(self):
@@ -155,6 +168,15 @@ class TestVerifyHistory:
         # edited in the event alone, its own derived value is the first break
         result = verify_history(parse_record(data.replace(b"|AAA|", b"|AXA|", 1)))
         assert (result.broken_at, result.detail) == (victim.seq, _MISMATCH)
+
+    def test_an_event_that_is_no_utf8_before_the_last_is_refused(self):
+        record = apply_event(octology(), "rename", "\udcff", "2012-01-01T00:00:00Z")
+        assert verify_history(record).ok  # the last event's line is never hashed
+        later = ProvenanceEvent(2, "2012-01-02T00:00:00Z", "rename", "\udcff", "0" * 16)
+        record = replace(record, history=record.history + (later,))
+        with pytest.raises(InvariantViolation) as info:
+            verify_history(record)
+        assert str(info.value).startswith("not encodable as UTF-8: '1|2012-01-01T00:00:00Z|")
 
     def test_altered_final_payload_still_detected(self):
         record = apply_event(octology(), "rename", "AAA", "2012-01-01T00:00:00Z")
