@@ -18,6 +18,7 @@ import tempfile
 from . import timestamps
 from .association import CRITERIA, build_index, group_by, related
 from .errors import BrokenChain, UmsError
+from .escaping import escape
 from .model import CARRIER_HTML, CARRIER_PDF, CARRIER_SIDECAR, EVENT_KINDS, is_complete
 from .provenance import apply_event, verify_history
 from .sidecar import (
@@ -187,7 +188,7 @@ def cmd_validate(args) -> int:
     from .metabase import empty_metabase
     from .validation import validate_record
 
-    record = parse_record(_read(args.path), LENIENT)
+    record = _parsed(args.path, parse_record, LENIENT)
     metabase = _load_metabase(args) or empty_metabase()
     report = validate_record(record, metabase, STRICT if args.strict else LENIENT)
     for violation in report.violations:
@@ -196,7 +197,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_annotate(args) -> int:
-    record = parse_record(_read(args.path), STRICT)
+    record = _parsed(args.path, parse_record, STRICT)
     result = verify_history(record)
     if not result.ok:
         raise BrokenChain(result.broken_at, result.detail)
@@ -208,7 +209,7 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_history(args) -> int:
-    record = parse_record(_read(args.path), STRICT)
+    record = _parsed(args.path, parse_record, STRICT)
     if args.verify:
         result = verify_history(record)
         if result.ok:
@@ -217,7 +218,7 @@ def cmd_history(args) -> int:
         print(f"broken at seq {result.broken_at}: {result.detail}")
         return EXIT_FINDINGS
     for event in record.history:
-        print(f"{event.seq}\t{event.timestamp}\t{event.kind}\t{event.payload}")
+        print(f"{event.seq}\t{event.timestamp}\t{event.kind}\t{escape(event.payload)}")
     return EXIT_CLEAN
 
 

@@ -3,8 +3,9 @@
 Tables are data: a built-in default plus a loadable file format.  The
 first matching rule wins, singleton fields fill once, and everything
 that did not land in a field comes back for audit, so no input pair is
-ever silently dropped.  Each value is shaped by the rule the record
-itself applies to its field.
+ever silently dropped.  A target is a key of :data:`ums.model.FIELDS`,
+and each value is shaped by that row's rule, the rule the record itself
+applies to its field; only a carrier date may come in any accepted form.
 """
 
 from __future__ import annotations
@@ -14,43 +15,17 @@ from functools import partial
 
 from .. import timestamps
 from ..errors import InvalidTimestamp, InvariantViolation, MappingError, RuleConflict
-from ..model import (
-    SINGLETON_KEYS,
-    SYSTEM_RE,
-    IdentifierBinding,
-    Subject,
-    UmsRecord,
-    Value,
-    access_level,
-    document_type,
-    format_tag,
-    language_code,
-    nfc,
-    set_slot,
-)
+from ..model import FIELDS, FIRST, MANY, PAIR, SYSTEM_RE, Field, UmsRecord, Value, set_slot
 from . import RawMetadata, base_key
 
 MAPPING_HEADER = "ums-mapping: 1"
 
-#: mapping target -> the record field it fills and the model's rule for
-#: one carrier value (``identifier:<SYSTEM>`` targets fill identifiers)
-_TARGETS = {
-    "name": ("name", nfc),
-    "format": ("formats", format_tag),
-    "date": ("date", timestamps.normalize),
-    "type": ("doc_type", document_type),
-    "summary": ("summary", nfc),
-    "language": ("languages", language_code),
-    "location": ("locations", nfc),
-    "creator": ("creators", nfc),
-    "access": ("access", access_level),
-    "subject": ("subjects", Subject),
-    "tag": ("tags", nfc),
-}
-#: targets that take only their first value; the others take each
-#: distinct value
-_FIRST_ONLY = SINGLETON_KEYS | {"format", "creator"}
-_SINGLE_VALUED = frozenset(_TARGETS[key][0] for key in SINGLETON_KEYS)
+#: the rows a mapping target may name: key -> row; a pair's target is
+#: ``<key>:<SYSTEM>`` (``identifier:PMID``)
+_TARGETS = {row.key: row for row in FIELDS if row.mapped is not None}
+#: the one carrier rule that differs from the record's own: a carrier
+#: date may be in any accepted form, and is made canonical
+_CARRIER_RULES = {"date": timestamps.normalize}
 _RULE_LINE_RE = re.compile(r"(\w+)\.(.+?) -> (\S+)")
 
 
@@ -63,16 +38,17 @@ class MappingRule(Value):
         set_slot(self, "target", target)
 
 
-def _slot(target: str) -> tuple:
-    """The record field *target* fills, the rule its values pass, and
-    whether only the first value counts; raise for an unknown target."""
-    if target in _TARGETS:
-        record_field, shape = _TARGETS[target]
-        return record_field, shape, target in _FIRST_ONLY
-    prefix, _, system = target.partition(":")
-    if prefix != "identifier" or not SYSTEM_RE.fullmatch(system):
-        raise MappingError(f"unknown mapping target: {target!r}")
-    return "identifiers", partial(IdentifierBinding, system), False
+def _slot(target: str) -> tuple[Field, object]:
+    """The row *target* fills and the rule its values pass; raise for an
+    unknown target."""
+    key, colon, system = target.partition(":")
+    row = _TARGETS.get(key)
+    if row is not None and row.decoder is PAIR:
+        if SYSTEM_RE.fullmatch(system):
+            return row, partial(row.rule, system)
+    elif row is not None and not colon:
+        return row, _CARRIER_RULES.get(key, row.rule)
+    raise MappingError(f"unknown mapping target: {target!r}")
 
 
 class MappingTable(Value):
@@ -86,7 +62,7 @@ class MappingTable(Value):
         slots: dict[str, dict[str, tuple]] = {}
         for rule in rules:
             slot = _slot(rule.target)
-            if rule.target in SINGLETON_KEYS:
+            if slot[0].count not in MANY:
                 filling = (rule.carrier, rule.target)
                 if filling in filled:
                     raise RuleConflict(
@@ -149,14 +125,14 @@ def map_raw_to_ums(
     if not slots:
         raise MappingError(f"mapping table has no rules for carrier {raw.carrier!r}")
 
-    values: dict[str, list] = {}
+    values: dict[Field, list] = {}
     unmapped: list[tuple[str, str]] = []
     for key, value in raw.pairs:
         slot = slots.get(base_key(key))
         if slot is not None and value != "":
-            record_field, rule, first_only = slot
-            got = values.setdefault(record_field, [])
-            if not (first_only and got):
+            row, rule = slot
+            got = values.setdefault(row, [])
+            if not (got and row.mapped is FIRST):
                 try:
                     shaped = rule(value)
                 except (InvariantViolation, InvalidTimestamp):
@@ -167,17 +143,14 @@ def map_raw_to_ums(
                     continue
         unmapped.append((key, value))
 
-    if raw.pairs and not values.get("formats"):
+    formats = _TARGETS["format"]
+    if raw.pairs and not values.get(formats):
         try:
-            values["formats"] = [format_tag(raw.carrier)]
+            values[formats] = [formats.rule(raw.carrier)]
         except InvariantViolation:
             pass
 
     record = UmsRecord(
-        **{
-            record_field: got[0] if record_field in _SINGLE_VALUED else tuple(got)
-            for record_field, got in values.items()
-            if got
-        }
+        **{row.name: tuple(got) if row.count in MANY else got[0] for row, got in values.items() if got}
     )
     return record, tuple(unmapped)

@@ -15,8 +15,8 @@ from typing import TYPE_CHECKING
 from .identifiers import BUILTIN_SYSTEMS, validate_identifier
 # perfbench/spans.py wraps ums.lint.resolve, and a traced run fails if it is unbound
 from .metabase import Metabase, resolve  # noqa: F401
-from .model import UmsRecord, Value, missing_fields, set_slot
-from .validation import RECOMMENDED_FIELDS, uncatalogued_creators
+from .model import UmsRecord, Value, missing_keys, set_slot
+from .validation import RECOMMENDED, uncatalogued_creators
 
 if TYPE_CHECKING:
     from .extractors import RawMetadata
@@ -142,7 +142,7 @@ def lint_record(record: UmsRecord, metabase: Metabase | None = None) -> list[Lin
     """
     findings: list[LintFinding] = []
 
-    for key in missing_fields(record, RECOMMENDED_FIELDS):
+    for key in missing_keys(record, RECOMMENDED):
         findings.append(
             LintFinding(
                 code="MISSING_RECOMMENDED",

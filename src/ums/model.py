@@ -6,13 +6,22 @@ Records are allowed to be *partial* (empty name, no formats, no date);
 completeness is enforced where it matters, at serialization and in
 validation reports.
 
+A record's fields are the rows of one table, :data:`FIELDS`: per sidecar
+key, in key order, the record field, how many values it holds, how a
+sidecar value is read, the rule that makes one value, the event kind that
+appends to it and how mapped carrier values fill it.  The record's
+constructor, its checks, the sidecar grammar, parser and serializer,
+completeness, the mapping targets and the events' derived values all read
+it, so a new field is one new row.
+
 The toolkit's value objects (here and in the other modules) derive from
 :class:`Value`.  Each class lists its constructor parameters in
-``_fields`` and has ``__slots__`` and a hand-written ``__init__``; the
-classes of this module check and normalize in a ``__post_init__`` that
-``__init__`` calls once.  :class:`Value` supplies the rest from
-``_fields``: attributes cannot be set or deleted (``AttributeError``),
-``==`` holds only between two values of one class with equal fields,
+``_fields`` and has ``__slots__`` and a hand-written ``__init__`` (the
+record's is written out from :data:`FIELDS`); the classes of this module
+check and normalize in a ``__post_init__`` that ``__init__`` calls
+once.  :class:`Value` supplies the rest from ``_fields``: attributes
+cannot be set or deleted (``AttributeError``), ``==`` holds only
+between two values of one class with equal fields,
 the hash covers the same fields, the repr is
 ``Class(field=value, ...)``, and copying and pickling build a new value
 through ``__init__``.  :func:`replace` does the same with some fields
@@ -54,11 +63,6 @@ EVENT_KINDS = {
 
 ACCESS_PUBLIC, ACCESS_INTERNAL, ACCESS_RESTRICTED, ACCESS_SECRET = range(4)
 _ACCESS_TOKENS = {str(level): level for level in range(4)}
-
-#: keys (sidecar lines and mapping targets) that hold at most one value
-SINGLETON_KEYS = frozenset({"name", "date", "type", "summary", "access"})
-#: the identification triple of a complete record: key -> record field
-REQUIRED_FIELDS = {"name": "name", "format": "formats", "date": "date"}
 
 #: strictness of sidecar parsing and of record validation
 STRICT = "strict"
@@ -186,13 +190,12 @@ def checked(
     return tuple(out)
 
 
-def _reject_duplicates(values: Sequence, what: str, field: str) -> None:
-    if len(set(values)) == len(values):
-        return
+def _first_duplicate(values: Sequence, what: str, field: str) -> InvariantViolation:
+    """The rejection of the first of *values* that repeats an earlier one."""
     seen = set()
     for index, v in enumerate(values):
         if v in seen:
-            raise _rejected(f"duplicate {what}: {v!r}", field, index)
+            return _rejected(f"duplicate {what}: {v!r}", field, index)
         seen.add(v)
 
 
@@ -222,7 +225,7 @@ def document_type(value: str) -> str:
     try:
         return DOC_TYPES[value]
     except (KeyError, TypeError):
-        raise _rejected(f"unknown document type: {value!r}", "doc_type") from None
+        raise InvariantViolation(f"unknown document type: {value!r}") from None
 
 
 def access_level(token: str) -> int:
@@ -373,6 +376,79 @@ def parse_systematic_name(canonical: str) -> SystematicName:
     return SystematicName(kind=kind, who=who, when=when, where=where, qualifier=qualifier)
 
 
+#: how many values a field holds, written as in the sidecar grammar
+ONE, OPTIONAL, ONE_OR_MORE, ANY = "", "?", "+", "*"
+MANY = (ONE_OR_MORE, ANY)
+#: how a sidecar value becomes a record value: escaped text and tokens pass
+#: the row's rule in the record; an access level token, ``|``-separated
+#: fields (two for a pair, one or two for a subject) and a history event are
+#: built by the rule before the record gets them
+TEXT, TOKEN, LEVEL, PAIR, SUBJECT, HISTORY = "text", "token", "level", "pair", "subject", "history"
+#: which mapped carrier values fill a field: the first only, or each distinct one
+FIRST, EACH = "first", "each"
+
+
+class Field:
+    """One row of :data:`FIELDS`."""
+
+    __slots__ = ("key", "name", "count", "decoder", "rule", "event", "mapped", "default")
+
+    def __init__(self, key, name, count, decoder, rule, event=None, mapped=None, default=None):
+        self.key, self.name, self.count, self.decoder = key, name, count, decoder
+        self.rule, self.event, self.mapped = rule, event, mapped
+        #: the value of a record with no entry under the key
+        self.default = () if count in MANY else default
+
+
+#: the record's fields, one row per sidecar key in key order: the key, the
+#: record field, the count, the decoder, the rule that makes one value, the
+#: event kind that appends to the field (if any), which mapped carrier
+#: values fill it (None: no mapping target names it) and, for a single
+#: value, its absent value if not None; a message about an entry names the key
+FIELDS = (
+    Field("name", "name", ONE, TEXT, nfc, mapped=FIRST, default=""),
+    Field("synonym", "synonyms", ANY, TEXT, nfc, "rename"),
+    Field("format", "formats", ONE_OR_MORE, TOKEN, format_tag, "reformat", FIRST),
+    Field("date", "date", ONE, TOKEN, timestamps.ensure_canonical, mapped=FIRST),
+    Field("type", "doc_type", OPTIONAL, TOKEN, document_type, mapped=FIRST),
+    Field("summary", "summary", OPTIONAL, TEXT, nfc, mapped=FIRST),
+    Field("language", "languages", ANY, TOKEN, language_code, "translate", EACH),
+    Field("location", "locations", ANY, TEXT, nfc, "relocate", EACH),
+    Field("creator", "creators", ANY, TEXT, nfc, mapped=FIRST),
+    Field("identifier", "identifiers", ANY, PAIR, IdentifierBinding, "reclassify", EACH),
+    Field("access", "access", OPTIONAL, LEVEL, access_level, mapped=FIRST, default=ACCESS_PUBLIC),
+    Field("subject", "subjects", ANY, SUBJECT, Subject, mapped=EACH),
+    Field("tag", "tags", ANY, TEXT, nfc, mapped=EACH),
+    Field("history", "history", ANY, HISTORY, ProvenanceEvent),
+)
+#: the rows a complete record has a value under: name, format and date
+REQUIRED = tuple(row for row in FIELDS if row.count in (ONE, ONE_OR_MORE))
+
+
+def _constructor(cls_name: str, rows: Sequence[Field]):
+    """An ``__init__`` with one parameter per row, in row order, defaulting
+    to the row's absent value, that hands the values to ``__post_init__``."""
+    names = ", ".join(row.name for row in rows)
+    namespace: dict = {"__name__": __name__}
+    exec(f"def __init__(self, {names}):\n    self.__post_init__(({names},))", namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = tuple(row.default for row in rows)
+    init.__qualname__ = f"{cls_name}.__init__"
+    return init
+
+
+def _out_of_order(history: tuple, field: str) -> InvariantViolation | None:
+    """The rejection of the first event of *history* out of seq order, or
+    of a first event that is no create event."""
+    for i, event in enumerate(history):
+        if event.seq != i:
+            message = f"history seq must run 0,1,2,...; got {event.seq} at index {i}"
+            return _rejected(message, field, i)
+    if history[0].kind != "create":
+        return _rejected("history must start with a create event", field)
+    return None
+
+
 class UmsRecord(Value):
     """Canonical metadata description of one document.
 
@@ -382,107 +458,70 @@ class UmsRecord(Value):
     is *partial*: storable in memory, not serializable.
     """
 
-    #: in sidecar key order
-    __slots__ = _fields = (
-        "name", "synonyms", "formats", "date", "doc_type", "summary", "languages",
-        "locations", "creators", "identifiers", "access", "subjects", "tags", "history",
-    )
+    __slots__ = _fields = tuple(row.name for row in FIELDS)
+    __init__ = _constructor("UmsRecord", FIELDS)
 
-    def __init__(
-        self,
-        name: str = "",
-        synonyms: tuple[str, ...] = (),
-        formats: tuple[str, ...] = (),
-        date: str | None = None,
-        doc_type: str | None = None,
-        summary: str | None = None,
-        languages: tuple[str, ...] = (),
-        locations: tuple[str, ...] = (),
-        creators: tuple[str, ...] = (),
-        identifiers: tuple[IdentifierBinding, ...] = (),
-        access: int = ACCESS_PUBLIC,
-        subjects: tuple[Subject, ...] = (),
-        tags: tuple[str, ...] = (),
-        history: tuple[ProvenanceEvent, ...] = (),
-    ):
-        set_slot(self, "name", name)
-        set_slot(self, "synonyms", synonyms)
-        set_slot(self, "formats", formats)
-        set_slot(self, "date", date)
-        set_slot(self, "doc_type", doc_type)
-        set_slot(self, "summary", summary)
-        set_slot(self, "languages", languages)
-        set_slot(self, "locations", locations)
-        set_slot(self, "creators", creators)
-        set_slot(self, "identifiers", identifiers)
-        set_slot(self, "access", access)
-        set_slot(self, "subjects", subjects)
-        set_slot(self, "tags", tags)
-        set_slot(self, "history", history)
-        self.__post_init__()
-
-    def __post_init__(self):
-        """Normalize and check every value; a rejection names the record
-        field and the index of the entry it rejects."""
-        set_slot(self, "name", nfc(self.name))
-        set_slot(self, "synonyms", checked("synonyms", self.synonyms, what="synonym"))
-        set_slot(self, "formats", checked("formats", self.formats, format_tag, "format"))
-        if self.date is not None:
-            try:
-                timestamps.ensure_canonical(self.date)
-            except InvalidTimestamp as exc:
-                exc.field = "date"
-                raise
-        if self.doc_type is not None:
-            set_slot(self, "doc_type", document_type(self.doc_type))
-        if self.summary is not None:
-            if self.summary == "":
-                raise _rejected("empty summary", "summary")
-            set_slot(self, "summary", nfc(self.summary))
-        languages = checked("languages", self.languages, language_code, "language")
-        set_slot(self, "languages", languages)
-        set_slot(self, "locations", checked("locations", self.locations, what="location"))
-        set_slot(self, "creators", checked("creators", self.creators, what="creator"))
-        set_slot(self, "identifiers", tuple(self.identifiers))
-        set_slot(self, "subjects", tuple(self.subjects))
-        set_slot(self, "tags", checked("tags", self.tags, what="tag"))
-        set_slot(self, "history", tuple(self.history))
-
-        if not isinstance(self.access, int) or not 0 <= self.access <= 3:
-            raise _rejected(f"access level out of range: {self.access!r}", "access")
-
-        _reject_duplicates(self.synonyms, "synonym", "synonyms")
-        _reject_duplicates(self.formats, "format", "formats")
-        _reject_duplicates(self.languages, "language", "languages")
-        _reject_duplicates(self.locations, "location", "locations")
-        _reject_duplicates(self.creators, "creator", "creators")
-        bindings = [(b.system, b.id) for b in self.identifiers]
-        _reject_duplicates(bindings, "identifier", "identifiers")
-        subjects = [(s.text, s.source) for s in self.subjects]
-        _reject_duplicates(subjects, "subject", "subjects")
-        _reject_duplicates(self.tags, "tag", "tags")
-
-        for i, event in enumerate(self.history):
-            if event.seq != i:
-                message = f"history seq must run 0,1,2,...; got {event.seq} at index {i}"
-                raise _rejected(message, "history", i)
-        if self.history and self.history[0].kind != "create":
-            raise _rejected("history must start with a create event", "history")
+    def __post_init__(self, values: tuple):
+        """Check and store *values*, one per row of :data:`FIELDS`.  A text
+        or token passes its row's rule; identifiers, subjects and events
+        come built.  Only after every value has passed is an access level
+        out of range rejected, else the first duplicate entry of a list,
+        else the first event out of order.  Each rejection names the record
+        field and the index of its entry."""
+        fault = None
+        for (name, key, many, decoder, rule, default, store), value in zip(_CHECKS, values):
+            if many:
+                if decoder is TEXT or decoder is TOKEN:
+                    if value != ():
+                        value = checked(name, value, rule, key)
+                        if fault is None and len(set(value)) != len(value):
+                            fault = _first_duplicate(value, key, name)
+                else:
+                    value = tuple(value)
+                    if value and fault is None:
+                        if decoder is HISTORY:
+                            fault = _out_of_order(value, name)
+                        else:
+                            entries = list(map(rule._key, value))
+                            if len(set(entries)) != len(entries):
+                                fault = _first_duplicate(entries, key, name)
+            elif decoder is LEVEL:
+                if not isinstance(value, int) or not 0 <= value <= ACCESS_SECRET:
+                    # comes before any duplicate, found before it or after
+                    fault = _rejected(f"access level out of range: {value!r}", name)
+            elif value != default:
+                # a name may be "", as that is its absent value; a summary may not
+                if value == "" and decoder is TEXT:
+                    raise _rejected(f"empty {key}", name)
+                try:
+                    value = rule(value)
+                except (InvariantViolation, InvalidTimestamp) as exc:
+                    exc.field, exc.index = name, 0
+                    raise
+            store(self, value)
+        if fault is not None:
+            raise fault
 
 
-def missing_fields(
-    record: UmsRecord, fields: dict[str, str] = REQUIRED_FIELDS
-) -> list[str]:
-    """The keys of *fields* whose record field is empty or unset."""
-    return [key for key, field in fields.items() if not getattr(record, field)]
+#: per row: the record field, the key, whether it holds a list, the decoder,
+#: the rule, the absent value and the setter of the record's slot
+_CHECKS = tuple(
+    (r.name, r.key, r.count in MANY, r.decoder, r.rule, r.default, getattr(UmsRecord, r.name).__set__)
+    for r in FIELDS
+)
+
+
+def missing_keys(record: UmsRecord, rows: Iterable[Field] = REQUIRED) -> list[str]:
+    """The keys of *rows* under which *record* has no value."""
+    return [row.key for row in rows if not getattr(record, row.name)]
 
 
 def is_complete(record: UmsRecord) -> bool:
     """True when the record carries the required identification triple."""
-    return not missing_fields(record)
+    return not missing_keys(record)
 
 
 def require_complete(record: UmsRecord) -> None:
-    absent = missing_fields(record)
+    absent = missing_keys(record)
     if absent:
         raise InvariantViolation(f"record incomplete, missing: {', '.join(absent)}")

@@ -11,37 +11,20 @@ from __future__ import annotations
 from . import timestamps
 from .errors import BrokenChain, InvariantViolation, MalformedPayload
 from .model import (
+    FIELDS,
     GENESIS_PREV,
+    PAIR,
     IdentifierBinding,
     ProvenanceEvent,
     UmsRecord,
     Value,
-    format_tag,
-    language_code,
-    nfc,
     replace,
     set_slot,
 )
 from .sidecar import serialize_event
 
-
-def _binding(payload: str) -> IdentifierBinding:
-    """The identifier binding a ``SYSTEM|id`` payload names."""
-    system, sep, ident = payload.partition("|")
-    if not sep or not system or not ident:
-        raise InvariantViolation("reclassify payload must be SYSTEM|id")
-    return IdentifierBinding(system=system, id=ident)
-
-
-#: event kind -> the record list its payload appends to and the model's
-#: rule that turns the payload into the appended value
-_DERIVED = {
-    "rename": ("synonyms", nfc),
-    "reclassify": ("identifiers", _binding),
-    "relocate": ("locations", nfc),
-    "reformat": ("formats", format_tag),
-    "translate": ("languages", language_code),
-}
+#: event kind -> the row of the record list its payload appends to
+_DERIVED = {row.event: row for row in FIELDS if row.event is not None}
 
 
 def event_digest(event: ProvenanceEvent) -> str:
@@ -68,9 +51,14 @@ def _derived(kind: str, payload: str) -> tuple[str | None, object]:
         raise MalformedPayload(f"unknown event kind: {kind!r}")
     if payload == "":
         raise MalformedPayload(f"{kind} needs a payload")
-    field, rule = _DERIVED[kind]
+    row = _DERIVED[kind]
     try:
-        return field, rule(payload)
+        if row.decoder is PAIR:
+            first, sep, second = payload.partition("|")
+            if not sep or not first or not second:
+                raise InvariantViolation(f"{kind} payload must be SYSTEM|id")
+            return row.name, row.rule(first, second)
+        return row.name, row.rule(payload)
     except InvariantViolation as exc:
         raise MalformedPayload(str(exc)) from None
 
@@ -185,7 +173,7 @@ def _replay(record: UmsRecord) -> dict[str, list]:
     if record.date is not None and genesis.timestamp != record.date:
         raise BrokenChain(0, "create timestamp differs from record date")
 
-    present = {field: set(getattr(record, field)) for field, _ in _DERIVED.values()}
+    present = {row.name: set(getattr(record, row.name)) for row in _DERIVED.values()}
     contributions: dict[str, list] = {field: [] for field in present}
     for before, event in zip(history, history[1:]):
         if event.kind == "create":

@@ -4,30 +4,33 @@ UTF-8, LF line endings, trailing newline required.  Line 1 is the
 ``ums: 1`` header, then ``key: value`` lines in fixed key order:
 name, synonym*, format+, date, type?, summary?, language*, location*,
 creator*, identifier*, access?, subject*, tag*, history*.
+That grammar is the keys and counts of :data:`ums.model.FIELDS`, and
+each key's values are read and written as its row says.
 
 Serialization is canonical: the same record always produces the same
 bytes, and ``parse_record(canonical_serialize(r)) == r``.
 
 The parser checks grammar: lines, key order, once-only keys, escapes,
 field counts and the digits of history seqs.  One ``fullmatch`` of
-:data:`_LAYOUT`, a pattern built from the key order, reads a well-formed
-sidecar: it checks the header, the shape of every line (only a line feed
-ends one), key order, once-only keys and non-empty values, and each
-key's run of lines splits into its values on the key's line start.
-A text the pattern does not match goes to :func:`_walk_lines`, the line
-walk, which names the first line at fault or, in lenient mode, sets
-aside unknown keys and notes missing ones.  Text, identifier and subject
-values are split, counted and unescaped by
-:func:`~ums.escaping.decode_fields` alone, a run of text values only when
-it holds a ``\\`` or a ``|``; a history value is read by one pattern,
-and by ``decode_fields`` only when it does not match, to name the fault.
-The token keys (format, language, date, type, access) are passed on
-raw.  The model checks values:
-:class:`UmsRecord`, :class:`ProvenanceEvent`, :class:`IdentifierBinding`,
-:class:`Subject` and :func:`access_level` hold the only format, language,
-date, type, access, identifier, subject, duplicate and history-order
-rules, and each rejection names its field and entry, as does a rejection
-by ``decode_fields``; the parser turns it into a
+:data:`_LAYOUT`, a pattern built from the table's keys and counts, reads
+a well-formed sidecar: it checks the header, the shape of every line
+(only a line feed ends one), key order, once-only keys and non-empty
+values, and each key's run of lines splits into its values on the key's
+line start.  A text the pattern does not match goes to
+:func:`_walk_lines`, the line walk, which names the first line at fault
+or, in lenient mode, sets aside unknown keys and notes missing ones.
+Text values, and the fields of identifiers and subjects, are split,
+counted and unescaped by :func:`~ums.escaping.decode_fields` alone, a
+run of text values only when it holds a ``\\`` or a ``|``; a history
+value is read by one pattern, and by ``decode_fields`` only when it does
+not match, to name the fault.  Tokens (format, date, type, language) are
+passed on as written; an access token, an identifier, a subject and an
+event are built by their row's rule.  The model checks values: its
+rules, :class:`UmsRecord`, :class:`ProvenanceEvent`,
+:class:`IdentifierBinding` and :class:`Subject` hold the only format,
+language, date, type, access, identifier, subject, duplicate and
+history-order rules, and each rejection names its field and entry, as
+does a rejection by ``decode_fields``; the parser turns it into a
 :class:`SidecarSyntaxError` naming the line, which it counts from the
 values before that entry only once something is rejected.  Strict
 parsing also rejects a value the model had to normalize (non-NFC text,
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from operator import attrgetter, itemgetter
 
 from .errors import (
     DuplicateSingletonKey,
@@ -48,19 +52,22 @@ from .errors import (
     SidecarSyntaxError,
     UnknownKey,
 )
-# perfbench/spans.py wraps split_fields and unescape here too, so they stay bound
+# perfbench/spans.py wraps join_fields and split_fields here too, so they stay bound
 from .escaping import decode_fields, escape, join_fields, split_fields, unescape  # noqa: F401
 from .model import (
-    ACCESS_PUBLIC,
+    FIELDS,
+    HISTORY,
     LENIENT,
-    REQUIRED_FIELDS,
-    SINGLETON_KEYS,
+    MANY,
+    PAIR,
+    REQUIRED,
     STRICT,
-    IdentifierBinding,
+    SUBJECT,
+    TEXT,
+    TOKEN,
+    Field,
     ProvenanceEvent,
-    Subject,
     UmsRecord,
-    access_level,
     checked,
     require_complete,
 )
@@ -76,47 +83,59 @@ def serialize_event(event: ProvenanceEvent) -> str:
     )
 
 
-#: each sidecar key in its only admissible order, with the canonical
-#: values of a record's entries under it
-_CANONICAL = {
-    "name": lambda r: (escape(r.name),) if r.name else (),
-    "synonym": lambda r: map(escape, r.synonyms),
-    "format": lambda r: r.formats,
-    "date": lambda r: (r.date,) if r.date is not None else (),
-    "type": lambda r: (r.doc_type,) if r.doc_type is not None else (),
-    "summary": lambda r: (escape(r.summary),) if r.summary is not None else (),
-    "language": lambda r: r.languages,
-    "location": lambda r: map(escape, r.locations),
-    "creator": lambda r: map(escape, r.creators),
-    "identifier": lambda r: [join_fields([b.system, b.id]) for b in r.identifiers],
-    "access": lambda r: (str(r.access),) if r.access != ACCESS_PUBLIC else (),
-    "subject": lambda r: [
-        escape(s.text) if s.source is None else join_fields([s.text, s.source])
-        for s in r.subjects
-    ],
-    "tag": lambda r: map(escape, r.tags),
-    "history": lambda r: map(serialize_event, r.history),
-}
-_KEY_ORDER = tuple(_CANONICAL)
-_KEY_POS = {key: pos for pos, key in enumerate(_KEY_ORDER)}
-#: record fields are declared in sidecar key order
-_KEY_OF_FIELD = dict(zip(UmsRecord.__slots__, _KEY_ORDER))
-_LINE_STARTS = [(f"\n{key}: ", canonical) for key, canonical in _CANONICAL.items()]
-#: how many lines a key may have: (once-only, required) -> quantifier
-_LINE_COUNT = {(True, True): "", (True, False): "?", (False, True): "+", (False, False): "*"}
+def _joined(value) -> str:
+    """An identifier's or subject's two fields, escaped and joined with
+    ``|``; a subject without a source is its text alone."""
+    first, second = value._key(value)
+    return escape(first) if second is None else f"{escape(first)}|{escape(second)}"
+
+
+def _encoder(row: Field):
+    """The function from a record's value under *row* to the canonical
+    values of its entries."""
+    absent, decoder = row.default, row.decoder
+    if row.count not in MANY:
+        if decoder is TEXT:
+            return lambda value: () if value == absent else (escape(value),)
+        return lambda value: () if value == absent else (str(value),)
+    if decoder is TEXT:
+        return lambda values: map(escape, values)
+    if decoder is TOKEN:
+        return lambda values: values
+    if decoder is HISTORY:
+        return lambda values: map(serialize_event, values)
+    return lambda values: map(_joined, values)
+
+
+_KEY_POS = {row.key: pos for pos, row in enumerate(FIELDS)}
+_POS_OF_FIELD = {row.name: pos for pos, row in enumerate(FIELDS)}
+#: a record's values, one per row
+_HELD = attrgetter(*(row.name for row in FIELDS))
+_CANONICAL = [_encoder(row) for row in FIELDS]
+_LINE_STARTS = [(f"\n{row.key}: ", canonical) for row, canonical in zip(FIELDS, _CANONICAL)]
 #: a well-formed sidecar, whole: the header, then each key's run of
-#: ``key: value`` lines in key order, every value non-empty; group i is
-#: the run of the i-th key, "" when it has no line
+#: ``key: value`` lines in key order, as many as the key's count allows,
+#: every value non-empty; group i is the run of the i-th key, "" when it
+#: has no line
 _LAYOUT = re.compile(
-    "ums: 1\n"
-    + "".join(
-        f"((?:{key}: [^\n]+\n)"
-        f"{_LINE_COUNT[key in SINGLETON_KEYS, key in REQUIRED_FIELDS]})"
-        for key in _KEY_ORDER
-    )
+    "ums: 1\n" + "".join(f"((?:{row.key}: [^\n]+\n){row.count})" for row in FIELDS)
 )
 #: per key: where its run's first value starts, and what separates its values
-_RUN_SPLIT = [(len(key) + 2, f"\n{key}: ") for key in _KEY_ORDER]
+_RUN_SPLIT = [(len(row.key) + 2, f"\n{row.key}: ") for row in FIELDS]
+#: the rows in the order the parser reads their values, which decides the
+#: line it names when two are bad: single values, then lists of tokens and
+#: built values, then lists of text
+_READ_ORDER = [
+    (pos, row.key, row.name, row.decoder, row.rule, row.count in MANY)
+    for pos, row in sorted(
+        enumerate(FIELDS),
+        key=lambda item: 0 if item[1].count not in MANY else 1 + (item[1].decoder is TEXT),
+    )
+]
+_ABSENT = tuple(row.default for row in FIELDS)
+#: the tokens a record holds, and the constructor arguments that gave them
+_HELD_TOKENS = attrgetter(*(row.name for row in FIELDS if row.decoder is TOKEN))
+_GIVEN_TOKENS = itemgetter(*(pos for pos, row in enumerate(FIELDS) if row.decoder is TOKEN))
 #: a history value whose fields need no check of count, escapes or seq
 #: digits: seq, timestamp, kind, payload (escapes allowed), prev
 _HISTORY_RE = re.compile(
@@ -129,8 +148,8 @@ def canonical_serialize(record: UmsRecord) -> bytes:
     """Serialize a complete record to canonical sidecar bytes."""
     require_complete(record)
     out = ["ums: 1"]
-    for line_start, canonical in _LINE_STARTS:
-        out.append(line_start.join(["", *canonical(record)]))
+    for (line_start, canonical), held in zip(_LINE_STARTS, _HELD(record)):
+        out.append(line_start.join(["", *canonical(held)]))
     out.append("\n")
     text = "".join(out)
     try:
@@ -156,23 +175,7 @@ def _parse_history_value(value: str) -> ProvenanceEvent:
         raise InvariantViolation(f"history: {exc}") from None
 
 
-def _decoder(key: str, arity: tuple[int, ...]):
-    """The rule that splits and unescapes one value of *key*."""
-    if arity == (1,):
-        return lambda value: decode_fields(value, arity, key)[0]
-    return lambda value: decode_fields(value, arity, key)
-
-
-_TEXT_RULES = {key: _decoder(key, (1,)) for key in
-               ("name", "synonym", "summary", "location", "creator", "tag")}
-_IDENTIFIER_FIELDS = _decoder("identifier", (2,))
-_SUBJECT_FIELDS = _decoder("subject", (1, 2))
-_FIELD_OF_KEY = {key: field for field, key in _KEY_OF_FIELD.items()}
-
-
-def _walk_lines(
-    text: str, mode: str
-) -> tuple[dict[str, list[str]], dict[str, list[int]], list[str]]:
+def _walk_lines(text: str, mode: str) -> tuple[list[list[str]], list[list[int]], list[str]]:
     """Each key's values and their line numbers, line by line, and the
     warnings of a lenient parse; raises the first grammar error.  Run
     only on a text that :data:`_LAYOUT` does not match, to name the line
@@ -185,8 +188,8 @@ def _walk_lines(
         raise SidecarSyntaxError(1, "expected header 'ums: 1'")
 
     warnings: list[str] = []
-    values: dict[str, list[str]] = {k: [] for k in _KEY_ORDER}
-    line_nos: dict[str, list[int]] = {k: [] for k in _KEY_ORDER}
+    values: list[list[str]] = [[] for _ in FIELDS]
+    line_nos: list[list[int]] = [[] for _ in FIELDS]
     order_pos = 0
 
     for line_no, line in enumerate(lines[1:], start=2):
@@ -201,13 +204,13 @@ def _walk_lines(
             continue
         if pos < order_pos:
             raise SidecarSyntaxError(line_no, f"key {key!r} out of order")
-        if key in SINGLETON_KEYS and values[key]:
+        if FIELDS[pos].count not in MANY and values[pos]:
             raise DuplicateSingletonKey(line_no, key)
         order_pos = pos
-        values[key].append(value)
-        line_nos[key].append(line_no)
+        values[pos].append(value)
+        line_nos[pos].append(line_no)
 
-    missing = [k for k in REQUIRED_FIELDS if not values[k]]
+    missing = [row.key for row, found in zip(FIELDS, values) if row in REQUIRED and not found]
     if missing:
         if mode == STRICT:
             raise SidecarSyntaxError(
@@ -217,12 +220,12 @@ def _walk_lines(
     return values, line_nos, warnings
 
 
-def _line_numbers(values: dict[str, list[str]]) -> dict[str, list[int]]:
+def _line_numbers(values: list[list[str]]) -> list[list[int]]:
     """Each value's line in a sidecar of only *values*, in key order."""
-    line_nos, line_no = {}, 2
-    for key in _KEY_ORDER:
-        line_nos[key] = list(range(line_no, line_no + len(values[key])))
-        line_no += len(values[key])
+    line_nos, line_no = [], 2
+    for found in values:
+        line_nos.append(list(range(line_no, line_no + len(found))))
+        line_no += len(found)
     return line_nos
 
 
@@ -246,70 +249,58 @@ def parse_record_with_warnings(
 
     layout = _LAYOUT.fullmatch(text)
     if layout is not None:
-        values = {
-            key: run[start:-1].split(sep) if run else []
-            for key, (start, sep), run in zip(_KEY_ORDER, _RUN_SPLIT, layout.groups())
-        }
+        values = [
+            run[start:-1].split(sep) if run else ()
+            for (start, sep), run in zip(_RUN_SPLIT, layout.groups())
+        ]
         line_nos, warnings = None, []
     else:
         values, line_nos, warnings = _walk_lines(text, mode)
 
-    def texts(key: str) -> list[str]:
-        found = values[key]
-        for value in found:
-            if "\\" in value or "|" in value:
-                return checked(_FIELD_OF_KEY[key], found, _TEXT_RULES[key])
-        return found
-
+    # each row's values as the record gets them: texts split and unescaped
+    # where they hold a "\\" or a "|", tokens as written, the other values
+    # built by the row's rule, which may change the case of a pair's fields
+    args, recased = list(_ABSENT), False
     try:
-        # a singleton key holds at most one value
-        (name,) = texts("name") or [""]
-        (summary,) = texts("summary") or [None]
-        (date,) = values["date"] or [None]
-        (doc_type,) = values["type"] or [None]
-        formats, languages = tuple(values["format"]), tuple(values["language"])
-        (access,) = checked("access", values["access"], access_level) or (ACCESS_PUBLIC,)
-        pairs = list(checked("identifiers", values["identifier"], _IDENTIFIER_FIELDS))
-        identifiers = checked("identifiers", pairs, lambda p: IdentifierBinding(*p))
-        subjects = checked(
-            "subjects", map(_SUBJECT_FIELDS, values["subject"]), lambda p: Subject(*p)
-        )
-        history = checked("history", values["history"], _parse_history_value)
-        record = UmsRecord(
-            name=name,
-            synonyms=texts("synonym"),
-            formats=formats,
-            date=date,
-            doc_type=doc_type,
-            summary=summary,
-            languages=languages,
-            locations=texts("location"),
-            creators=texts("creator"),
-            identifiers=identifiers,
-            access=access,
-            subjects=subjects,
-            tags=texts("tag"),
-            history=history,
-        )
+        for pos, key, name, decoder, rule, many in _READ_ORDER:
+            found = values[pos]
+            if not found:
+                continue
+            if decoder is TOKEN:
+                found = tuple(found)
+            elif decoder is TEXT:
+                joined = "".join(found)
+                if "\\" in joined or "|" in joined:
+                    found = checked(name, found, lambda v: decode_fields(v, (1,), key)[0])
+            elif decoder is HISTORY:
+                found = checked(name, found, _parse_history_value)
+            elif decoder is PAIR:
+                written = checked(name, found, lambda v: decode_fields(v, (2,), key))
+                found = checked(name, written, lambda p: rule(*p))
+                recased = recased or list(map(list, map(rule._key, found))) != list(written)
+            elif decoder is SUBJECT:
+                found = checked(name, found, lambda v: rule(*decode_fields(v, (1, 2), key)))
+            else:
+                found = checked(name, found, rule)
+            args[pos] = found if many else found[0]
+        record = UmsRecord(*args)
     except (InvariantViolation, InvalidTimestamp) as exc:
         line_nos = line_nos or _line_numbers(values)
-        line_no = line_nos[_KEY_OF_FIELD[exc.field]][exc.index]
+        line_no = line_nos[_POS_OF_FIELD[exc.field]][exc.index]
         raise SidecarSyntaxError(line_no, str(exc)) from None
 
     # NFC text decodes to NFC values, so the record then holds the values
-    # it was given unless it changed their case; else find the lines
-    if not (
-        unicodedata.is_normalized("NFC", text)
-        and record.formats == formats
-        and record.languages == languages
-        and [[b.system, b.id] for b in record.identifiers] == pairs
+    # it was given unless a rule changed their case; else find the lines
+    if recased or not (
+        unicodedata.is_normalized("NFC", text) and _HELD_TOKENS(record) == _GIVEN_TOKENS(args)
     ):
         line_nos = line_nos or _line_numbers(values)
-        for key in _KEY_ORDER:
-            lines = zip(values[key], line_nos[key], _CANONICAL[key](record))
-            for value, line_no, canonical in lines:
-                if value != canonical:
-                    message = f"{key} is not canonical, expected {canonical!r}"
+        for row, found, nos, canonical, held in zip(
+            FIELDS, values, line_nos, _CANONICAL, _HELD(record)
+        ):
+            for value, line_no, expected in zip(found, nos, canonical(held)):
+                if value != expected:
+                    message = f"{row.key} is not canonical, expected {expected!r}"
                     if mode == STRICT:
                         raise SidecarSyntaxError(line_no, message)
                     warnings.append(f"line {line_no}: {message}")

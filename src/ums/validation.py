@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from .metabase import AUTHORS, ORGANIZATIONS, SUBJECTS_PREFIX, Metabase, resolve
-from .model import LENIENT, STRICT, UmsRecord, Value, missing_fields, set_slot
+from .model import FIELDS, LENIENT, STRICT, UmsRecord, Value, missing_keys, set_slot
 
-#: fields a good description should carry: key -> record field
-RECOMMENDED_FIELDS = {"language": "languages", "location": "locations", "creator": "creators"}
+#: the rows a good description should have a value under
+RECOMMENDED = tuple(row for row in FIELDS if row.key in ("language", "location", "creator"))
 
 
 class Violation(Value):
@@ -61,9 +61,9 @@ def validate_record(
     violations: list[Violation] = []
 
     if mode == STRICT:
-        for key in missing_fields(record):
+        for key in missing_keys(record):
             violations.append(Violation("MissingRequiredField", f"record has no {key}"))
-        for key in missing_fields(record, RECOMMENDED_FIELDS):
+        for key in missing_keys(record, RECOMMENDED):
             violations.append(Violation("MissingRecommendedField", f"record has no {key}"))
         for creator in uncatalogued_creators(record, metabase):
             violations.append(

@@ -26,8 +26,6 @@ from ums.errors import (
 from ums.extractors import CARRIER_HTML, CARRIER_PDF, PairBuilder, RawMetadata
 from ums.model import (
     ACCESS_PUBLIC,
-    REQUIRED_FIELDS,
-    SINGLETON_KEYS,
     STRICT,
     IdentifierBinding,
     ProvenanceEvent,
@@ -910,7 +908,14 @@ _SIDECAR_KEYS = (
     "name", "synonym", "format", "date", "type", "summary", "language", "location",
     "creator", "identifier", "access", "subject", "tag", "history",
 )
-_SIDECAR_KEY_OF_FIELD = dict(zip(UmsRecord._fields, _SIDECAR_KEYS))
+_SIDECAR_KEY_OF_FIELD = {
+    "name": "name", "synonyms": "synonym", "formats": "format", "date": "date",
+    "doc_type": "type", "summary": "summary", "languages": "language",
+    "locations": "location", "creators": "creator", "identifiers": "identifier",
+    "access": "access", "subjects": "subject", "tags": "tag", "history": "history",
+}
+_SIDECAR_ONCE_ONLY = frozenset({"name", "date", "type", "summary", "access"})
+_SIDECAR_REQUIRED = ("name", "format", "date")
 _HISTORY_SEQ_REFERENCE_RE = re.compile(r"0|[1-9]\d*", re.ASCII)
 
 
@@ -997,12 +1002,12 @@ def parse_record_reference(data: bytes, mode: str = STRICT) -> tuple[UmsRecord, 
         pos = _SIDECAR_KEYS.index(key)
         if pos < order_pos:
             raise SidecarSyntaxError(line_no, f"key {key!r} out of order")
-        if key in SINGLETON_KEYS and values[key]:
+        if key in _SIDECAR_ONCE_ONLY and values[key]:
             raise DuplicateSingletonKey(line_no, key)
         order_pos = pos
         values[key].append((value, line_no))
 
-    missing = [k for k in REQUIRED_FIELDS if not values[k]]
+    missing = [k for k in _SIDECAR_REQUIRED if not values[k]]
     if missing:
         if mode == STRICT:
             raise SidecarSyntaxError(

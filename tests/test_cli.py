@@ -505,6 +505,35 @@ class TestHistory:
         assert out[0].startswith("0\t2011-03-01T16:35:22Z\tcreate")
         assert out[1].startswith("1\t2012-01-01T00:00:00Z\trename\tX")
 
+    def test_listing_escapes_each_payload_as_its_sidecar_line_does(self, tmp_path, capsys):
+        record = full_record()
+        for i, payload in enumerate(["two\nlines", "a|b", "back\\slash"]):
+            record = apply_event(record, "relocate", payload, f"2012-01-0{i + 1}T00:00:00Z")
+        path = write_sidecar(tmp_path / "doc.ums", record)
+        assert main(["history", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "1\t2012-01-01T00:00:00Z\trelocate\ttwo\\nlines",
+            "2\t2012-01-02T00:00:00Z\trelocate\ta\\|b",
+            "3\t2012-01-03T00:00:00Z\trelocate\tback\\\\slash",
+        ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["history", "{path}"],
+        ["history", "{path}", "--verify"],
+        ["annotate", "{path}", "--event", "rename", "--payload", "y"],
+        ["validate", "{path}"],
+    ],
+    ids=["history", "history --verify", "annotate", "validate"],
+)
+def test_a_parse_error_names_the_file(tmp_path, capsys, argv):
+    path = tmp_path / "bad.ums"
+    path.write_bytes(b"ums: 1\nname: x\nformat: pdf!\ndate: 2011-03-01\n")
+    assert main([arg.format(path=path) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", f"ums: {path}: line 3: bad format tag: 'pdf!'\n")
+
 
 def make_corpus(tmp_path):
     corpus = tmp_path / "corpus"

@@ -90,6 +90,30 @@ class TestRecordInvariants:
         with pytest.raises(InvariantViolation):
             UmsRecord(name="x", synonyms=("a", "a"))
 
+    @pytest.mark.parametrize(
+        "field, values, message",
+        [
+            ("synonyms", ("a", "b", "a"), "duplicate synonym: 'a'"),
+            ("formats", ("pdf", "html", "PDF"), "duplicate format: 'pdf'"),
+            ("languages", ("en", "de", "EN"), "duplicate language: 'en'"),
+            ("locations", ("l", "m", "l"), "duplicate location: 'l'"),
+            ("creators", ("c", "d", "c"), "duplicate creator: 'c'"),
+            (
+                "identifiers",
+                (IdentifierBinding("DOI", "x"), IdentifierBinding("ISBN", "y"),
+                 IdentifierBinding("doi", "x")),
+                "duplicate identifier: ('DOI', 'x')",
+            ),
+            ("subjects", (Subject("s"), Subject("s", "lcsh"), Subject("s")),
+             "duplicate subject: ('s', None)"),
+            ("tags", ("t", "u", "t"), "duplicate tag: 't'"),
+        ],
+    )
+    def test_a_duplicate_entry_of_each_list_is_rejected_at_its_index(self, field, values, message):
+        with pytest.raises(InvariantViolation) as excinfo:
+            UmsRecord(name="x", **{field: values})
+        assert (str(excinfo.value), excinfo.value.field, excinfo.value.index) == (message, field, 2)
+
     def test_nfc_makes_lookalike_duplicates_collide(self):
         with pytest.raises(InvariantViolation):
             UmsRecord(name="x", synonyms=("é", "é"))

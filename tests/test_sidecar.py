@@ -18,7 +18,8 @@ from ums.errors import (
     UmsError,
     UnknownKey,
 )
-from ums.model import UmsRecord, replace
+from ums import sidecar
+from ums.model import FIELDS, UmsRecord, replace
 from ums.sidecar import (
     LENIENT,
     STRICT,
@@ -28,6 +29,15 @@ from ums.sidecar import (
 )
 
 MINIMAL = b"ums: 1\nname: octology\nformat: pdf\ndate: 2011-03-01T16:35:22Z\n"
+
+
+def test_the_field_table_gives_the_documented_key_grammar():
+    grammar = ", ".join(row.key + row.count for row in FIELDS)
+    assert grammar == (
+        "name, synonym*, format+, date, type?, summary?, language*, location*,"
+        " creator*, identifier*, access?, subject*, tag*, history*"
+    )
+    assert grammar in " ".join(sidecar.__doc__.split())
 
 
 def test_minimal_record_serializes_to_the_four_line_sidecar():
@@ -210,6 +220,12 @@ GOOD_LINES = [
         # a bad line may bring the good lines it repeats or follows; it
         # replaces the good line as many lines up as it has line feeds
         (7, "tag: x\ntag: x"),
+        (4, "name: x\nsynonym: s\nsynonym: s"),
+        (6, "language: en\nlanguage: en"),
+        (6, "location: l\nlocation: l"),
+        (6, "creator: c\ncreator: c"),
+        (6, "identifier: DOI|x\nidentifier: DOI|x"),
+        (6, "subject: s\nsubject: s"),
         (7, "history: 0|2011-03-01|create||0000000000000000\nhistory: 2|2011-03-01|rename|y|0000000000000000"),
         # a value the model would have to normalize is not canonical
         (2, unicodedata.normalize("NFD", "name: Zoë")),
