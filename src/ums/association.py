@@ -76,16 +76,9 @@ class CorpusIndex(Value):
     _fields = ("records", "tag_index", "untagged")
     __slots__ = _fields + ("by_name",)
 
-    def __init__(
-        self,
-        records: tuple[UmsRecord, ...],
-        tag_index: dict[str, tuple[int, ...]],
-        untagged: dict[int, UmsRecord],
-    ):
-        set_slot(self, "records", records)
-        set_slot(self, "tag_index", tag_index)
-        set_slot(self, "untagged", untagged)
-        set_slot(self, "by_name", tuple(sorted(records, key=attrgetter("name"))))
+    def __post_init__(self, values: tuple) -> None:
+        super().__post_init__(values)
+        set_slot(self, "by_name", tuple(sorted(self.records, key=attrgetter("name"))))
 
 
 def build_index(records: Sequence[UmsRecord]) -> CorpusIndex:

@@ -43,9 +43,11 @@ def _read(path: str) -> bytes:
         raise UmsError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _parsed(path: str, parse, *args):
-    """*parse* of the bytes of *path*; a rejection names the file."""
-    data = _read(path)
+def _parsed(path: str, parse, *args, data: bytes | None = None):
+    """*parse* of *data*, read from *path* if not given; a rejection names
+    the file."""
+    if data is None:
+        data = _read(path)
     try:
         return parse(data, *args)
     except UmsError as exc:
@@ -158,7 +160,7 @@ def cmd_lint(args) -> int:
     data = _read(args.path)
     carrier = _detect_carrier(args.path, data, args.carrier)
     if carrier == CARRIER_SIDECAR:
-        record, warnings = parse_record_with_warnings(data, LENIENT)
+        record, warnings = _parsed(args.path, parse_record_with_warnings, LENIENT, data=data)
         findings = lint_record(record, _load_metabase(args))
         # what the lenient parse let through, so a non-canonical sidecar is seen
         findings += [LintFinding("PARSE_WARNING", INFO, warning) for warning in warnings]

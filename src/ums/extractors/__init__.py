@@ -7,7 +7,7 @@ loads no HTML parser.
 from __future__ import annotations
 
 from .. import lazy_loader
-from ..model import CARRIER_HTML, CARRIER_PDF, CARRIER_SIDECAR, Value, set_slot
+from ..model import CARRIER_HTML, CARRIER_PDF, CARRIER_SIDECAR, Value
 
 
 class RawMetadata(Value):
@@ -19,16 +19,7 @@ class RawMetadata(Value):
     """
 
     __slots__ = _fields = ("carrier", "pairs", "errors")
-
-    def __init__(
-        self,
-        carrier: str,
-        pairs: tuple[tuple[str, str], ...],
-        errors: tuple[str, ...] = (),
-    ):
-        set_slot(self, "carrier", carrier)
-        set_slot(self, "pairs", pairs)
-        set_slot(self, "errors", errors)
+    _defaults = ((),)
 
 
 def base_key(key: str) -> str:

@@ -32,11 +32,6 @@ _RULE_LINE_RE = re.compile(r"(\w+)\.(.+?) -> (\S+)")
 class MappingRule(Value):
     __slots__ = _fields = ("carrier", "key", "target")
 
-    def __init__(self, carrier: str, key: str, target: str):
-        set_slot(self, "carrier", carrier)
-        set_slot(self, "key", key)
-        set_slot(self, "target", target)
-
 
 def _slot(target: str) -> tuple[Field, object]:
     """The row *target* fills and the rule its values pass; raise for an
@@ -56,11 +51,11 @@ class MappingTable(Value):
     #: ``_slots``: carrier -> raw key -> the slot of the first rule for that key
     __slots__ = _fields + ("_slots",)
 
-    def __init__(self, rules: tuple[MappingRule, ...]):
-        set_slot(self, "rules", rules)
+    def __post_init__(self, values: tuple) -> None:
+        super().__post_init__(values)
         filled: set[tuple[str, str]] = set()
         slots: dict[str, dict[str, tuple]] = {}
-        for rule in rules:
+        for rule in self.rules:
             slot = _slot(rule.target)
             if slot[0].count not in MANY:
                 filling = (rule.carrier, rule.target)

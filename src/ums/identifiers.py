@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 
 from .errors import UnknownSystem
-from .model import Value, set_slot
+from .model import Value
 
 #: classification systems registered out of the box
 BUILTIN_SYSTEMS = ("DOI", "ISBN", "PMID", "URN", "PURL", "ISNI", "OCLC")
@@ -25,10 +25,7 @@ class IdentifierCheck(Value):
     """valid, or invalid with a reason token."""
 
     __slots__ = _fields = ("valid", "reason")
-
-    def __init__(self, valid: bool, reason: str | None = None):
-        set_slot(self, "valid", valid)
-        set_slot(self, "reason", reason)
+    _defaults = (None,)
 
 
 def _digit_value(ch: str) -> int | None:

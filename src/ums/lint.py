@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 from .identifiers import BUILTIN_SYSTEMS, validate_identifier
 # perfbench/spans.py wraps ums.lint.resolve, and a traced run fails if it is unbound
 from .metabase import Metabase, resolve  # noqa: F401
-from .model import UmsRecord, Value, missing_keys, set_slot
+from .model import UmsRecord, Value, missing_keys
 from .validation import RECOMMENDED, uncatalogued_creators
 
 if TYPE_CHECKING:
@@ -33,14 +33,7 @@ DEFAULT_RELATED_SYSTEMS = (("OCLC", "PMID"),)
 
 class LintFinding(Value):
     __slots__ = _fields = ("code", "severity", "message", "evidence")
-
-    def __init__(
-        self, code: str, severity: str, message: str, evidence: tuple[tuple[str, str], ...] = ()
-    ):
-        set_slot(self, "code", code)
-        set_slot(self, "severity", severity)
-        set_slot(self, "message", message)
-        set_slot(self, "evidence", evidence)
+    _defaults = ((),)
 
     def line(self) -> str:
         return f"{self.code}\t{self.severity}\t{self.message}"

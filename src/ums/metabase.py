@@ -26,12 +26,13 @@ class CatalogEntry(Value):
     """One admissible designation plus the synonyms that resolve to it."""
 
     _fields = ("systematic_name", "synonyms")
+    _defaults = ((),)
     #: ``canonical``: the systematic name's canonical string, escaped once
     __slots__ = _fields + ("canonical",)
 
-    def __init__(self, systematic_name: SystematicName, synonyms: tuple[str, ...] = ()):
-        set_slot(self, "systematic_name", systematic_name)
-        set_slot(self, "synonyms", tuple(nfc(s) for s in synonyms))
+    def __post_init__(self, values: tuple) -> None:
+        systematic_name, synonyms = values
+        super().__post_init__((systematic_name, tuple(nfc(s) for s in synonyms)))
         set_slot(self, "canonical", systematic_name.canonical)
 
 
@@ -39,6 +40,7 @@ class Catalog(Value):
     """A named, grow-only set of catalog entries."""
 
     _fields = ("name", "entries")
+    _defaults = ((),)
     #: ``exact``: NFC form of a canonical string, or synonym -> its entry;
     #: the two sets are disjoint.  Queries are NFC, and an escaped line
     #: feed before a combining mark makes a canonical string that is not;
@@ -46,16 +48,15 @@ class Catalog(Value):
     #: backslash before a composed letter.
     __slots__ = _fields + ("exact",)
 
-    def __init__(self, name: str, entries: tuple[CatalogEntry, ...] = ()):
-        set_slot(self, "name", name)
-        set_slot(self, "entries", entries)
+    def __post_init__(self, values: tuple) -> None:
+        super().__post_init__(values)
         exact: dict[str, CatalogEntry] = {}
-        for entry in entries:
+        for entry in self.entries:
             key = nfc(entry.canonical)
             if key in exact:
                 raise DuplicateEntry(f"duplicate canonical string: {entry.canonical}")
             exact[key] = entry
-        for entry in entries:
+        for entry in self.entries:
             for syn in entry.synonyms:
                 owner = exact.get(syn)
                 if owner is not None:
@@ -74,11 +75,9 @@ class Catalog(Value):
 class Resolution(Value):
     """Outcome of a resolve query: an exact hit, or nothing."""
 
+    #: ``kind``: "exact" or "none"
     __slots__ = _fields = ("kind", "entry")
-
-    def __init__(self, kind: str, entry: CatalogEntry | None = None):
-        set_slot(self, "kind", kind)  # "exact" | "none"
-        set_slot(self, "entry", entry)
+    _defaults = (None,)
 
 
 def resolve(catalog: Catalog, query: str) -> Resolution:
@@ -145,14 +144,15 @@ class Metabase(Value):
     """All catalogs known to one validation run, keyed by catalog name."""
 
     _fields = ("catalogs",)
+    _defaults = ((),)
     #: ``by_name``: catalog name -> the first catalog of that name;
     #: ``system_set``: upper-cased tokens of the systems catalog
     __slots__ = _fields + ("by_name", "system_set")
 
-    def __init__(self, catalogs: tuple[Catalog, ...] = ()):
-        set_slot(self, "catalogs", catalogs)
+    def __post_init__(self, values: tuple) -> None:
+        super().__post_init__(values)
         by_name: dict[str, Catalog] = {}
-        for catalog in catalogs:
+        for catalog in self.catalogs:
             by_name.setdefault(catalog.name, catalog)
         set_slot(self, "by_name", by_name)
         systems = by_name.get(SYSTEMS)

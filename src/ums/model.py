@@ -16,13 +16,15 @@ it, so a new field is one new row.
 
 The toolkit's value objects (here and in the other modules) derive from
 :class:`Value`.  Each class lists its constructor parameters in
-``_fields`` and has ``__slots__`` and a hand-written ``__init__`` (the
-record's is written out from :data:`FIELDS`); the classes of this module
-check and normalize in a ``__post_init__`` that ``__init__`` calls
-once.  :class:`Value` supplies the rest from ``_fields``: attributes
-cannot be set or deleted (``AttributeError``), ``==`` holds only
-between two values of one class with equal fields,
-the hash covers the same fields, the repr is
+``_fields``, the defaults of the last of them in ``_defaults`` (as a
+function's ``__defaults__``), and has ``__slots__``.  :class:`Value`
+supplies the rest from ``_fields``: an ``__init__`` with those
+parameters hands the values, as one tuple, to the class's
+``__post_init__``, which stores them as given or, where the class
+defines its own, checks and normalizes each value, stores it once and
+fills the slots derived from them.  Attributes cannot be set or deleted
+(``AttributeError``), ``==`` holds only between two values of one class
+with equal fields, the hash covers the same fields, the repr is
 ``Class(field=value, ...)``, and copying and pickling build a new value
 through ``__init__``.  :func:`replace` does the same with some fields
 changed, so every check runs again.  A slot outside ``_fields`` holds
@@ -91,9 +93,21 @@ def nfc(value: str) -> str:
     return unicodedata.normalize("NFC", value)
 
 
-#: sets a slot of a value object past its frozen ``__setattr__``; every
-#: hand-written constructor of the toolkit uses it
+#: sets a slot of a value object past its frozen ``__setattr__``
 set_slot = object.__setattr__
+
+
+def _constructor(cls: type):
+    """An ``__init__`` with one parameter per name of ``cls._fields``, in
+    order, defaulting as ``cls._defaults`` says, that hands the values to
+    ``__post_init__``, looked up on the value's class at each call."""
+    names = ", ".join(cls._fields)
+    namespace: dict = {"__name__": cls.__module__}
+    exec(f"def __init__(self, {names}):\n    self.__post_init__(({names},))", namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = cls._defaults
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
 
 class _DataclassFields:
@@ -127,12 +141,20 @@ class Value:
     docstring for what it supplies."""
 
     __slots__ = ()
-    #: the constructor's parameters, in order
+    #: the constructor's parameters, in order, and the defaults of the last
+    #: of them
     _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
     __dataclass_fields__ = _DataclassFields()
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls._fields)
+        cls.__init__ = _constructor(cls)
+
+    def __post_init__(self, values: tuple) -> None:
+        """Store *values*, one per name of ``_fields``, as given."""
+        for name, value in zip(self._fields, values):
+            set_slot(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -241,41 +263,35 @@ class IdentifierBinding(Value):
 
     __slots__ = _fields = ("system", "id")
 
-    def __init__(self, system: str, id: str):
-        set_slot(self, "system", system)
-        set_slot(self, "id", id)
-        self.__post_init__()
-
-    def __post_init__(self):
-        system = self.system
+    def __post_init__(self, values: tuple) -> None:
+        system, id = values
         if not SYSTEM_RE.fullmatch(system):
-            system = nfc(system).upper()
-            if not SYSTEM_RE.fullmatch(system):
-                raise InvariantViolation(f"bad system token: {self.system!r}")
-        if self.id == "":
+            token = nfc(system).upper()
+            if not SYSTEM_RE.fullmatch(token):
+                raise InvariantViolation(f"bad system token: {system!r}")
+            system = token
+        if id == "":
             raise InvariantViolation("empty identity number")
         set_slot(self, "system", system)
-        set_slot(self, "id", nfc(self.id))
+        set_slot(self, "id", nfc(id))
 
 
 class Subject(Value):
     """A depicted object or phenomenon, optionally tied to a source catalog."""
 
     __slots__ = _fields = ("text", "source")
+    _defaults = (None,)
 
-    def __init__(self, text: str, source: str | None = None):
-        set_slot(self, "text", text)
-        set_slot(self, "source", source)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.text == "":
+    def __post_init__(self, values: tuple) -> None:
+        text, source = values
+        if text == "":
             raise InvariantViolation("empty subject")
-        set_slot(self, "text", nfc(self.text))
-        if self.source is not None:
-            if self.source == "":
+        set_slot(self, "text", nfc(text))
+        if source is not None:
+            if source == "":
                 raise InvariantViolation("empty subject source")
-            set_slot(self, "source", nfc(self.source))
+            source = nfc(source)
+        set_slot(self, "source", source)
 
 
 class ProvenanceEvent(Value):
@@ -283,64 +299,52 @@ class ProvenanceEvent(Value):
 
     __slots__ = _fields = ("seq", "timestamp", "kind", "payload", "prev")
 
-    def __init__(self, seq: int, timestamp: str, kind: str, payload: str, prev: str):
+    def __post_init__(self, values: tuple) -> None:
+        seq, timestamp, kind, payload, prev = values
+        if seq < 0:
+            raise InvariantViolation("negative event seq")
+        try:
+            kind = EVENT_KINDS[kind]
+        except (KeyError, TypeError):
+            raise InvariantViolation(f"unknown event kind: {kind!r}") from None
+        timestamps.ensure_canonical(timestamp)
+        if not _PREV_RE.fullmatch(prev):
+            raise InvariantViolation(f"bad prev digest: {prev!r}")
         set_slot(self, "seq", seq)
         set_slot(self, "timestamp", timestamp)
         set_slot(self, "kind", kind)
-        set_slot(self, "payload", payload)
+        set_slot(self, "payload", nfc(payload))
         set_slot(self, "prev", prev)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.seq < 0:
-            raise InvariantViolation("negative event seq")
-        try:
-            set_slot(self, "kind", EVENT_KINDS[self.kind])
-        except (KeyError, TypeError):
-            raise InvariantViolation(f"unknown event kind: {self.kind!r}") from None
-        timestamps.ensure_canonical(self.timestamp)
-        if not _PREV_RE.fullmatch(self.prev):
-            raise InvariantViolation(f"bad prev digest: {self.prev!r}")
-        set_slot(self, "payload", nfc(self.payload))
 
 
 class SystematicName(Value):
     """Who/what + where + when designation with a deterministic string form."""
 
     __slots__ = _fields = ("kind", "who", "when", "where", "qualifier")
+    _defaults = (None, None, None)
 
-    def __init__(
-        self,
-        kind: str,
-        who: tuple[str, ...],
-        when: str | None = None,
-        where: str | None = None,
-        qualifier: str | None = None,
-    ):
+    def __post_init__(self, values: tuple) -> None:
+        kind, who, when, where, qualifier = values
+        try:
+            kind = NAME_KINDS[kind]
+        except (KeyError, TypeError):
+            raise InvariantViolation(f"unknown name kind: {kind!r}") from None
+        who = checked(None, who, what="name component")
+        if not who:
+            raise MissingComponent("a systematic name needs a who-part")
+        if when is not None:
+            when = timestamps.ensure_canonical(when)
+        if where is not None:
+            if where == "":
+                raise InvariantViolation("empty where component")
+            where = nfc(where)
+        if qualifier is not None and not _QUALIFIER_RE.fullmatch(qualifier):
+            raise InvariantViolation(f"qualifier must be digits: {qualifier!r}")
         set_slot(self, "kind", kind)
         set_slot(self, "who", who)
         set_slot(self, "when", when)
         set_slot(self, "where", where)
         set_slot(self, "qualifier", qualifier)
-        self.__post_init__()
-
-    def __post_init__(self):
-        try:
-            set_slot(self, "kind", NAME_KINDS[self.kind])
-        except (KeyError, TypeError):
-            raise InvariantViolation(f"unknown name kind: {self.kind!r}") from None
-        who = checked(None, self.who, what="name component")
-        if not who:
-            raise MissingComponent("a systematic name needs a who-part")
-        set_slot(self, "who", who)
-        if self.when is not None:
-            set_slot(self, "when", timestamps.ensure_canonical(self.when))
-        if self.where is not None:
-            if self.where == "":
-                raise InvariantViolation("empty where component")
-            set_slot(self, "where", nfc(self.where))
-        if self.qualifier is not None and not _QUALIFIER_RE.fullmatch(self.qualifier):
-            raise InvariantViolation(f"qualifier must be digits: {self.qualifier!r}")
 
     @property
     def canonical(self) -> str:
@@ -425,18 +429,6 @@ FIELDS = (
 REQUIRED = tuple(row for row in FIELDS if row.count in (ONE, ONE_OR_MORE))
 
 
-def _constructor(cls_name: str, rows: Sequence[Field]):
-    """An ``__init__`` with one parameter per row, in row order, defaulting
-    to the row's absent value, that hands the values to ``__post_init__``."""
-    names = ", ".join(row.name for row in rows)
-    namespace: dict = {"__name__": __name__}
-    exec(f"def __init__(self, {names}):\n    self.__post_init__(({names},))", namespace)
-    init = namespace["__init__"]
-    init.__defaults__ = tuple(row.default for row in rows)
-    init.__qualname__ = f"{cls_name}.__init__"
-    return init
-
-
 def _out_of_order(history: tuple, field: str) -> InvariantViolation | None:
     """The rejection of the first event of *history* out of seq order, or
     of a first event that is no create event."""
@@ -459,7 +451,7 @@ class UmsRecord(Value):
     """
 
     __slots__ = _fields = tuple(row.name for row in FIELDS)
-    __init__ = _constructor("UmsRecord", FIELDS)
+    _defaults = tuple(row.default for row in FIELDS)
 
     def __post_init__(self, values: tuple):
         """Check and store *values*, one per row of :data:`FIELDS`.  A text

@@ -19,7 +19,6 @@ from .model import (
     UmsRecord,
     Value,
     replace,
-    set_slot,
 )
 from .sidecar import serialize_event
 
@@ -120,14 +119,7 @@ class VerifyResult(Value):
     """Outcome of a history verification."""
 
     __slots__ = _fields = ("ok", "chain_length", "broken_at", "detail")
-
-    def __init__(
-        self, ok: bool, chain_length: int, broken_at: int | None = None, detail: str = ""
-    ):
-        set_slot(self, "ok", ok)
-        set_slot(self, "chain_length", chain_length)
-        set_slot(self, "broken_at", broken_at)
-        set_slot(self, "detail", detail)
+    _defaults = (None, "")
 
 
 def _reconstruct_original(final: tuple, contributions: list) -> tuple:

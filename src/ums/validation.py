@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .metabase import AUTHORS, ORGANIZATIONS, SUBJECTS_PREFIX, Metabase, resolve
-from .model import FIELDS, LENIENT, STRICT, UmsRecord, Value, missing_keys, set_slot
+from .model import FIELDS, LENIENT, STRICT, UmsRecord, Value, missing_keys
 
 #: the rows a good description should have a value under
 RECOMMENDED = tuple(row for row in FIELDS if row.key in ("language", "location", "creator"))
@@ -12,19 +12,13 @@ RECOMMENDED = tuple(row for row in FIELDS if row.key in ("language", "location",
 class Violation(Value):
     __slots__ = _fields = ("code", "message")
 
-    def __init__(self, code: str, message: str):
-        set_slot(self, "code", code)
-        set_slot(self, "message", message)
-
     def __str__(self) -> str:
         return f"{self.code}: {self.message}"
 
 
 class ValidationReport(Value):
     __slots__ = _fields = ("violations",)
-
-    def __init__(self, violations: tuple[Violation, ...] = ()):
-        set_slot(self, "violations", violations)
+    _defaults = ((),)
 
     @property
     def ok(self) -> bool:

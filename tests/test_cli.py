@@ -525,8 +525,10 @@ class TestHistory:
         ["history", "{path}", "--verify"],
         ["annotate", "{path}", "--event", "rename", "--payload", "y"],
         ["validate", "{path}"],
+        ["lint", "{path}"],
+        ["lint", "{path}", "--json"],
     ],
-    ids=["history", "history --verify", "annotate", "validate"],
+    ids=["history", "history --verify", "annotate", "validate", "lint", "lint --json"],
 )
 def test_a_parse_error_names_the_file(tmp_path, capsys, argv):
     path = tmp_path / "bad.ums"

@@ -7,11 +7,16 @@ callers are tests does not belong in the toolkit.  A definition naming
 itself does not count, and neither does naming a class as the base of
 another: an exception base that nothing raises, catches or exports is a
 layer no caller can reach.
+
+No value class writes its own ``__init__``: :class:`ums.model.Value`
+builds each one from the class's ``_fields`` and would replace one
+written in the class body without a word.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -110,3 +115,50 @@ def test_a_definition_only_tests_reach_is_found():
         "errors.py:CatalogClash",
         "metabase.py:dump_catalog",
     ]
+
+
+def value_classes(trees: dict[str, ast.Module]) -> tuple[set[str], list[str]]:
+    """The names of the classes of the package whose base is ``Value``,
+    and ``module:name`` of each of them that defines ``__init__``."""
+    names, written = set(), []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id == "Value" for base in node.bases
+            ):
+                names.add(node.name)
+                written += [
+                    f"{module}:{node.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                ]
+    return names, written
+
+
+def _loaded_value_classes() -> set[str]:
+    """The names of the package's value classes, every module imported."""
+    for path in SRC.rglob("*.py"):
+        module = ".".join(("ums", *path.relative_to(SRC).with_suffix("").parts))
+        importlib.import_module(module.removesuffix(".__init__"))
+    found, pending = set(), [ums.model.Value]
+    while pending:
+        for cls in pending.pop().__subclasses__():
+            if cls.__module__.startswith("ums."):
+                found.add(cls.__name__)
+                pending.append(cls)
+    return found
+
+
+def test_no_value_class_defines_its_constructor():
+    assert value_classes(_parsed()) == (_loaded_value_classes(), [])
+
+
+def test_a_written_value_constructor_is_found():
+    trees = _parsed()
+    subject = next(
+        node
+        for node in ast.walk(trees["model.py"])
+        if isinstance(node, ast.ClassDef) and node.name == "Subject"
+    )
+    subject.body.append(ast.parse("def __init__(self, text, source=None):\n    pass\n").body[0])
+    assert value_classes(trees)[1] == ["model.py:Subject"]

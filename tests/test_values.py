@@ -8,6 +8,7 @@ when these classes were dataclasses; messages quote the reprs.
 from __future__ import annotations
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -220,6 +221,29 @@ CASES = {
 #: the classes whose values are not hashable, since a field is a dict
 UNHASHABLE = {"CorpusIndex"}
 NAMES = sorted(CASES)
+#: each class's constructor: its parameters, in order, and their defaults
+SIGNATURES = {
+    "IdentifierBinding": "(system, id)",
+    "Subject": "(text, source=None)",
+    "ProvenanceEvent": "(seq, timestamp, kind, payload, prev)",
+    "SystematicName": "(kind, who, when=None, where=None, qualifier=None)",
+    "UmsRecord": "(name='', synonyms=(), formats=(), date=None, doc_type=None, summary=None,"
+    " languages=(), locations=(), creators=(), identifiers=(), access=0, subjects=(), tags=(),"
+    " history=())",
+    "VerifyResult": "(ok, chain_length, broken_at=None, detail='')",
+    "CorpusIndex": "(records, tag_index, untagged)",
+    "LintFinding": "(code, severity, message, evidence=())",
+    "IdentifierCheck": "(valid, reason=None)",
+    "CatalogEntry": "(systematic_name, synonyms=())",
+    "Catalog": "(name, entries=())",
+    "Resolution": "(kind, entry=None)",
+    "Metabase": "(catalogs=())",
+    "RawMetadata": "(carrier, pairs, errors=())",
+    "MappingRule": "(carrier, key, target)",
+    "MappingTable": "(rules)",
+    "Violation": "(code, message)",
+    "ValidationReport": "(violations=())",
+}
 
 
 def test_every_value_class_is_covered():
@@ -238,6 +262,53 @@ def test_construction_and_repr(name):
     assert repr(build_minimal()) == shown_minimal
     keywords = {field: getattr(value, field) for field in value._fields}
     assert type(value)(**keywords) == value
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_the_constructor_takes_the_fields_in_order(name):
+    cls = type(CASES[name][0]())
+    parameters = inspect.signature(cls).parameters.values()
+    unannotated = [p.replace(annotation=p.empty) for p in parameters]
+    assert str(inspect.Signature(unannotated)) == SIGNATURES[name]
+    assert tuple(p.name for p in parameters) == cls._fields
+    assert {p.kind for p in parameters} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_missing_unknown_or_repeated_argument_is_a_type_error(name):
+    value = CASES[name][0]()
+    cls, fields = type(value), value._fields
+    args = [getattr(value, field) for field in fields]
+    required = [p for p in inspect.signature(cls).parameters.values() if p.default is p.empty]
+    calls = [
+        lambda: cls(*args, no_such_field=None),
+        lambda: cls(*args, **{fields[0]: args[0]}),
+        lambda: cls(*args, None),
+    ]
+    if required:
+        calls.append(lambda: cls(*args[: len(required) - 1]))
+    for call in calls:
+        with pytest.raises(TypeError, match=rf"^{name}\.__init__\(\) "):
+            call()
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_wrapper_on_post_init_runs_once_per_construction(name, monkeypatch):
+    """The hook a tracer wraps: ``__post_init__`` is looked up on the
+    class at each construction."""
+    value = CASES[name][0]()
+    cls = type(value)
+    original, calls = cls.__post_init__, []
+
+    def wrapper(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__post_init__", wrapper)
+    twin = cls(*(getattr(value, field) for field in value._fields))
+    assert len(calls) == 1 and calls[0] is twin
+    assert twin == value
+    assert copy.copy(twin) == value and len(calls) == 2
 
 
 @pytest.mark.parametrize("name", NAMES)
