@@ -22,9 +22,10 @@ supplies the rest from ``_fields``: an ``__init__`` with those
 parameters hands the values, as one tuple, to the class's
 ``__post_init__``, which stores them as given or, where the class
 defines its own, checks and normalizes each value, stores it once and
-fills the slots derived from them.  Attributes cannot be set or deleted
-(``AttributeError``), ``==`` holds only between two values of one class
-with equal fields, the hash covers the same fields, the repr is
+fills the slots derived from them.  A class body that writes
+``__init__`` is refused with ``TypeError``.  Attributes cannot be set
+or deleted (``AttributeError``), ``==`` holds only between two values of
+one class with equal fields, the hash covers the same fields, the repr is
 ``Class(field=value, ...)``, and copying and pickling build a new value
 through ``__init__``.  :func:`replace` does the same with some fields
 changed, so every check runs again.  A slot outside ``_fields`` holds
@@ -97,17 +98,29 @@ def nfc(value: str) -> str:
 set_slot = object.__setattr__
 
 
-def _constructor(cls: type):
-    """An ``__init__`` with one parameter per name of ``cls._fields``, in
-    order, defaulting as ``cls._defaults`` says, that hands the values to
-    ``__post_init__``, looked up on the value's class at each call."""
+#: the file name of the code :func:`_constructor` writes out
+_WRITTEN_OUT = "<value constructor>"
+
+
+def _constructor(cls: type) -> None:
+    """Give ``cls`` an ``__init__`` with a parameter per name of ``_fields``,
+    defaulting as ``_defaults`` says, that hands the values to the
+    ``__post_init__`` of the value's class, looked up at each call; and, if
+    no class writes ``__post_init__``, one that stores each value, written
+    out (the loop of :meth:`Value.__post_init__` doubles a plain value's cost)."""
     names = ", ".join(cls._fields)
-    namespace: dict = {"__name__": cls.__module__}
-    exec(f"def __init__(self, {names}):\n    self.__post_init__(({names},))", namespace)
-    init = namespace["__init__"]
-    init.__defaults__ = cls._defaults
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    return init
+    source = f"def __init__(self, {names}):\n    self.__post_init__(({names},))\n"
+    post = cls.__post_init__
+    if post is Value.__post_init__ or post.__code__.co_filename == _WRITTEN_OUT:
+        source += "def __post_init__(self, values):" + "".join(
+            f"\n    set_slot(self, {name!r}, values[{i}])" for i, name in enumerate(cls._fields)
+        )
+    scope, written = {"__name__": cls.__module__, "set_slot": set_slot}, {}
+    exec(compile(source, _WRITTEN_OUT, "exec"), scope, written)
+    for name, function in written.items():
+        function.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, function)
+    cls.__init__.__defaults__ = cls._defaults
 
 
 class _DataclassFields:
@@ -148,8 +161,10 @@ class Value:
     __dataclass_fields__ = _DataclassFields()
 
     def __init_subclass__(cls):
+        if "__init__" in cls.__dict__:
+            raise TypeError(f"{cls.__qualname__} writes __init__; Value builds it from _fields")
         cls._key = attrgetter(*cls._fields)
-        cls.__init__ = _constructor(cls)
+        _constructor(cls)
 
     def __post_init__(self, values: tuple) -> None:
         """Store *values*, one per name of ``_fields``, as given."""

@@ -9,8 +9,8 @@ another: an exception base that nothing raises, catches or exports is a
 layer no caller can reach.
 
 No value class writes its own ``__init__``: :class:`ums.model.Value`
-builds each one from the class's ``_fields`` and would replace one
-written in the class body without a word.
+builds each one from the class's ``_fields`` and refuses, when the
+class is defined, one written in the class body.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import ast
 import importlib
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import ums
 
@@ -117,48 +119,26 @@ def test_a_definition_only_tests_reach_is_found():
     ]
 
 
-def value_classes(trees: dict[str, ast.Module]) -> tuple[set[str], list[str]]:
-    """The names of the classes of the package whose base is ``Value``,
-    and ``module:name`` of each of them that defines ``__init__``."""
-    names, written = set(), []
-    for module, tree in trees.items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and any(
-                isinstance(base, ast.Name) and base.id == "Value" for base in node.bases
-            ):
-                names.add(node.name)
-                written += [
-                    f"{module}:{node.name}"
-                    for item in node.body
-                    if isinstance(item, ast.FunctionDef) and item.name == "__init__"
-                ]
-    return names, written
-
-
-def _loaded_value_classes() -> set[str]:
-    """The names of the package's value classes, every module imported."""
+def test_every_value_constructor_is_built():
+    """Every module loads (so no value class writes ``__init__``), and
+    each value class's constructor is the one :class:`ums.model.Value`
+    wrote out."""
     for path in SRC.rglob("*.py"):
         module = ".".join(("ums", *path.relative_to(SRC).with_suffix("").parts))
         importlib.import_module(module.removesuffix(".__init__"))
-    found, pending = set(), [ums.model.Value]
-    while pending:
-        for cls in pending.pop().__subclasses__():
-            if cls.__module__.startswith("ums."):
-                found.add(cls.__name__)
-                pending.append(cls)
-    return found
+    found = [cls for cls in ums.model.Value.__subclasses__() if cls.__module__.startswith("ums.")]
+    assert len(found) == 18
+    for cls in found:
+        assert cls.__init__.__code__.co_filename == ums.model._WRITTEN_OUT
+        assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+        assert cls.__init__.__module__ == cls.__module__
 
 
-def test_no_value_class_defines_its_constructor():
-    assert value_classes(_parsed()) == (_loaded_value_classes(), [])
+def test_a_written_value_constructor_is_refused():
+    with pytest.raises(TypeError, match=r"\.Written writes __init__; Value builds it from _fields$"):
 
+        class Written(ums.model.Value):
+            __slots__ = _fields = ("text",)
 
-def test_a_written_value_constructor_is_found():
-    trees = _parsed()
-    subject = next(
-        node
-        for node in ast.walk(trees["model.py"])
-        if isinstance(node, ast.ClassDef) and node.name == "Subject"
-    )
-    subject.body.append(ast.parse("def __init__(self, text, source=None):\n    pass\n").body[0])
-    assert value_classes(trees)[1] == ["model.py:Subject"]
+            def __init__(self, text):
+                pass

@@ -311,6 +311,22 @@ def test_a_wrapper_on_post_init_runs_once_per_construction(name, monkeypatch):
     assert copy.copy(twin) == value and len(calls) == 2
 
 
+def test_a_subclass_keeps_the_checks_and_stores_its_own_fields():
+    class Tagged(model.Subject):
+        __slots__ = ()
+
+    assert repr(Tagged(NFD_ZOE)) == f"{Tagged.__qualname__}(text='Zoë', source=None)"
+    with pytest.raises(InvariantViolation, match="^empty subject$"):
+        Tagged("")
+
+    class Ranked(metabase.Resolution):
+        __slots__ = ("rank",)
+        _fields = ("kind", "entry", "rank")
+        _defaults = (None, 0)
+
+    assert repr(Ranked("none", rank=3)) == f"{Ranked.__qualname__}(kind='none', entry=None, rank=3)"
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_equality_and_hash(name):
     value, again = CASES[name][0](), CASES[name][0]()
