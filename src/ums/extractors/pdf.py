@@ -45,10 +45,11 @@ _XREF_SHAPE = b"0000000000 00000 n  "
 
 _NAME_RE = re.compile(rb"/([^\x00\t\n\x0c\r ()<>\[\]{}/%]*)")
 _NAME_ESCAPE_RE = re.compile(rb"#([0-9A-Fa-f]{2})")
-_KEYWORD_RE = re.compile(rb"true|false|null")
+#: a keyword, or a number and the ``G R`` that may follow it
+_SCALAR_RE = re.compile(
+    rb"(true|false|null)|([+-]?(?:\d+\.?\d*|\.\d+))(?:\s+(\d+)\s+R(?![a-zA-Z]))?"
+)
 _KEYWORDS = {b"true": True, b"false": False, b"null": None}
-_NUMBER_RE = re.compile(rb"[+-]?(?:\d+\.?\d*|\.\d+)")
-_REF_AHEAD_RE = re.compile(rb"\s+(\d+)\s+R(?![a-zA-Z])")
 #: an unsigned reference and the whitespace after it, one array element
 _REF_RE = re.compile(rb"(\d+)\s+(\d+)\s+R(?![a-zA-Z])" + _WS)
 #: a literal string's next special byte, after the plain run before it:
@@ -124,22 +125,19 @@ def _parse_hex_string(data: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def _parse_scalar(data: bytes, pos: int):
-    """A keyword, a number, or a number followed by ``G R``."""
-    m = _KEYWORD_RE.match(data, pos)
-    if m:
-        return _KEYWORDS[m[0]], m.end()
-    m = _NUMBER_RE.match(data, pos)
+    """A keyword, a number, or a non-negative integer followed by ``G R``."""
+    m = _SCALAR_RE.match(data, pos)
     if not m:
         raise _ParseError(pos, "expected a number")
-    text = m[0]
-    pos = m.end()
+    keyword, text, generation = m.groups()
+    if keyword is not None:
+        return _KEYWORDS[keyword], m.end()
     if b"." in text:
-        return float(text), pos
+        return float(text), m.end(2)
     value = int(text)
-    ahead = _REF_AHEAD_RE.match(data, pos)
-    if ahead and value >= 0:
-        return _Ref((text, ahead[1])), ahead.end()
-    return value, pos
+    if generation is not None and value >= 0:
+        return _Ref((text, generation)), m.end()
+    return value, m.end(2)
 
 
 #: deepest nesting of arrays and dictionaries accepted; deeper input is a

@@ -80,10 +80,14 @@ class Resolution(Value):
     _defaults = (None,)
 
 
+#: the one outcome of every query that finds nothing
+_MISS = Resolution("none")
+
+
 def resolve(catalog: Catalog, query: str) -> Resolution:
     """The entry whose canonical string or synonym is *query*, after NFC."""
     entry = catalog.exact.get(nfc(query))
-    return Resolution("none") if entry is None else Resolution("exact", entry)
+    return _MISS if entry is None else Resolution("exact", entry)
 
 
 def load_catalog(data: bytes) -> Catalog:

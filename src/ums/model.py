@@ -227,12 +227,12 @@ def checked(
     return tuple(out)
 
 
-def _first_duplicate(values: Sequence, what: str, field: str) -> InvariantViolation:
-    """The rejection of the first of *values* that repeats an earlier one."""
+def _reject_duplicate(values: Sequence, what: str, field: str) -> None:
+    """Reject the first of *values* that repeats an earlier one."""
     seen = set()
     for index, v in enumerate(values):
         if v in seen:
-            return _rejected(f"duplicate {what}: {v!r}", field, index)
+            raise _rejected(f"duplicate {what}: {v!r}", field, index)
         seen.add(v)
 
 
@@ -310,7 +310,7 @@ class Subject(Value):
 
 
 class ProvenanceEvent(Value):
-    """One append-only history entry."""
+    """One append-only history entry; its fields are checked in order."""
 
     __slots__ = _fields = ("seq", "timestamp", "kind", "payload", "prev")
 
@@ -318,11 +318,11 @@ class ProvenanceEvent(Value):
         seq, timestamp, kind, payload, prev = values
         if seq < 0:
             raise InvariantViolation("negative event seq")
+        timestamps.ensure_canonical(timestamp)
         try:
             kind = EVENT_KINDS[kind]
         except (KeyError, TypeError):
             raise InvariantViolation(f"unknown event kind: {kind!r}") from None
-        timestamps.ensure_canonical(timestamp)
         if not _PREV_RE.fullmatch(prev):
             raise InvariantViolation(f"bad prev digest: {prev!r}")
         set_slot(self, "seq", seq)
@@ -444,16 +444,15 @@ FIELDS = (
 REQUIRED = tuple(row for row in FIELDS if row.count in (ONE, ONE_OR_MORE))
 
 
-def _out_of_order(history: tuple, field: str) -> InvariantViolation | None:
-    """The rejection of the first event of *history* out of seq order, or
-    of a first event that is no create event."""
+def _reject_out_of_order(history: tuple, field: str) -> None:
+    """Reject the first event of *history* out of seq order, or a first
+    event that is no create event."""
     for i, event in enumerate(history):
         if event.seq != i:
             message = f"history seq must run 0,1,2,...; got {event.seq} at index {i}"
-            return _rejected(message, field, i)
+            raise _rejected(message, field, i)
     if history[0].kind != "create":
-        return _rejected("history must start with a create event", field)
-    return None
+        raise _rejected("history must start with a create event", field)
 
 
 class UmsRecord(Value):
@@ -469,33 +468,31 @@ class UmsRecord(Value):
     _defaults = tuple(row.default for row in FIELDS)
 
     def __post_init__(self, values: tuple):
-        """Check and store *values*, one per row of :data:`FIELDS`.  A text
-        or token passes its row's rule; identifiers, subjects and events
-        come built.  Only after every value has passed is an access level
-        out of range rejected, else the first duplicate entry of a list,
-        else the first event out of order.  Each rejection names the record
-        field and the index of its entry."""
-        fault = None
+        """Check and store *values*, one per row of :data:`FIELDS`, in key
+        order, raising the first fault found: a row's entries pass its rule
+        in turn (identifiers, subjects and events come built), then its
+        duplicates or history order are checked.  A rejection names the
+        record field and the entry's index, so of two faults the one under
+        the earlier key is named."""
         for (name, key, many, decoder, rule, default, store), value in zip(_CHECKS, values):
             if many:
                 if decoder is TEXT or decoder is TOKEN:
                     if value != ():
                         value = checked(name, value, rule, key)
-                        if fault is None and len(set(value)) != len(value):
-                            fault = _first_duplicate(value, key, name)
+                        if len(set(value)) != len(value):
+                            _reject_duplicate(value, key, name)
                 else:
                     value = tuple(value)
-                    if value and fault is None:
+                    if value:
                         if decoder is HISTORY:
-                            fault = _out_of_order(value, name)
+                            _reject_out_of_order(value, name)
                         else:
                             entries = list(map(rule._key, value))
                             if len(set(entries)) != len(entries):
-                                fault = _first_duplicate(entries, key, name)
+                                _reject_duplicate(entries, key, name)
             elif decoder is LEVEL:
                 if not isinstance(value, int) or not 0 <= value <= ACCESS_SECRET:
-                    # comes before any duplicate, found before it or after
-                    fault = _rejected(f"access level out of range: {value!r}", name)
+                    raise _rejected(f"access level out of range: {value!r}", name)
             elif value != default:
                 # a name may be "", as that is its absent value; a summary may not
                 if value == "" and decoder is TEXT:
@@ -506,8 +503,6 @@ class UmsRecord(Value):
                     exc.field, exc.index = name, 0
                     raise
             store(self, value)
-        if fault is not None:
-            raise fault
 
 
 #: per row: the record field, the key, whether it holds a list, the decoder,

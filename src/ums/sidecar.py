@@ -37,6 +37,11 @@ parsing also rejects a value the model had to normalize (non-NFC text,
 an uppercase format or language, a lowercase identifier system), so
 every strict-valid sidecar re-serializes to its own bytes; lenient
 parsing keeps such a value and warns.
+
+Of several faults the first is named: grammar faults in line order, then
+key by key each entry's fault (escapes, field count, value) and the key's
+duplicates or history order, then in strict mode a value not in canonical
+form.  A row that cannot be read has the model check the rows before it.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ from .model import (
     REQUIRED,
     STRICT,
     SUBJECT,
+    SYSTEM_RE,
     TEXT,
     TOKEN,
     Field,
@@ -122,16 +128,8 @@ _LAYOUT = re.compile(
 )
 #: per key: where its run's first value starts, and what separates its values
 _RUN_SPLIT = [(len(row.key) + 2, f"\n{row.key}: ") for row in FIELDS]
-#: the rows in the order the parser reads their values, which decides the
-#: line it names when two are bad: single values, then lists of tokens and
-#: built values, then lists of text
-_READ_ORDER = [
-    (pos, row.key, row.name, row.decoder, row.rule, row.count in MANY)
-    for pos, row in sorted(
-        enumerate(FIELDS),
-        key=lambda item: 0 if item[1].count not in MANY else 1 + (item[1].decoder is TEXT),
-    )
-]
+#: per row, in key order: its position, key, field, decoder, rule, and if it is a list
+_ROWS = [(pos, r.key, r.name, r.decoder, r.rule, r.count in MANY) for pos, r in enumerate(FIELDS)]
 _ABSENT = tuple(row.default for row in FIELDS)
 #: the tokens a record holds, and the constructor arguments that gave them
 _HELD_TOKENS = attrgetter(*(row.name for row in FIELDS if row.decoder is TOKEN))
@@ -259,10 +257,10 @@ def parse_record_with_warnings(
 
     # each row's values as the record gets them: texts split and unescaped
     # where they hold a "\\" or a "|", tokens as written, the other values
-    # built by the row's rule, which may change the case of a pair's fields
+    # built by the row's rule, which uppercases a pair's system if need be
     args, recased = list(_ABSENT), False
     try:
-        for pos, key, name, decoder, rule, many in _READ_ORDER:
+        for pos, key, name, decoder, rule, many in _ROWS:
             found = values[pos]
             if not found:
                 continue
@@ -275,9 +273,9 @@ def parse_record_with_warnings(
             elif decoder is HISTORY:
                 found = checked(name, found, _parse_history_value)
             elif decoder is PAIR:
-                written = checked(name, found, lambda v: decode_fields(v, (2,), key))
-                found = checked(name, written, lambda p: rule(*p))
-                recased = recased or list(map(list, map(rule._key, found))) != list(written)
+                systems = (v.partition("|")[0] for v in found)
+                recased = recased or not all(map(SYSTEM_RE.fullmatch, systems))
+                found = checked(name, found, lambda v: rule(*decode_fields(v, (2,), key)))
             elif decoder is SUBJECT:
                 found = checked(name, found, lambda v: rule(*decode_fields(v, (1, 2), key)))
             else:
@@ -285,6 +283,10 @@ def parse_record_with_warnings(
             args[pos] = found if many else found[0]
         record = UmsRecord(*args)
     except (InvariantViolation, InvalidTimestamp) as exc:
+        try:
+            UmsRecord(*args)  # a fault under an earlier key is named first
+        except (InvariantViolation, InvalidTimestamp) as earlier:
+            exc = earlier
         line_nos = line_nos or _line_numbers(values)
         line_no = line_nos[_POS_OF_FIELD[exc.field]][exc.index]
         raise SidecarSyntaxError(line_no, str(exc)) from None

@@ -32,9 +32,11 @@ from ums.model import (
     Subject,
     UmsRecord,
     access_level,
-    checked,
+    document_type,
+    format_tag,
+    language_code,
 )
-from ums.timestamps import display
+from ums.timestamps import display, ensure_canonical
 
 
 def isbn13_valid(candidate: str) -> bool:
@@ -904,16 +906,14 @@ def html_meta_reference(data: bytes) -> RawMetadata:
 # compared against, warnings, exception classes, lines and messages
 # included.  Values are split and unescaped by the references above.
 
-_SIDECAR_KEYS = (
-    "name", "synonym", "format", "date", "type", "summary", "language", "location",
-    "creator", "identifier", "access", "subject", "tag", "history",
-)
-_SIDECAR_KEY_OF_FIELD = {
-    "name": "name", "synonyms": "synonym", "formats": "format", "date": "date",
-    "doc_type": "type", "summary": "summary", "languages": "language",
-    "locations": "location", "creators": "creator", "identifiers": "identifier",
-    "access": "access", "subjects": "subject", "tags": "tag", "history": "history",
+#: each key in key order, and the record field its values fill
+_SIDECAR_FIELDS = {
+    "name": "name", "synonym": "synonyms", "format": "formats", "date": "date",
+    "type": "doc_type", "summary": "summary", "language": "languages",
+    "location": "locations", "creator": "creators", "identifier": "identifiers",
+    "access": "access", "subject": "subjects", "tag": "tags", "history": "history",
 }
+_SIDECAR_KEYS = tuple(_SIDECAR_FIELDS)
 _SIDECAR_ONCE_ONLY = frozenset({"name", "date", "type", "summary", "access"})
 _SIDECAR_REQUIRED = ("name", "format", "date")
 _HISTORY_SEQ_REFERENCE_RE = re.compile(r"0|[1-9]\d*", re.ASCII)
@@ -963,6 +963,14 @@ def _decode_fields_reference(
         raise SidecarSyntaxError(line, f"{what}: {exc}") from None
 
 
+def _checked_reference(rule, *args, line_no: int):
+    """``rule(*args)``, a rejection raised as a syntax error on *line_no*."""
+    try:
+        return rule(*args)
+    except (InvariantViolation, InvalidTimestamp) as exc:
+        raise SidecarSyntaxError(line_no, str(exc)) from None
+
+
 def _history_event_reference(value: str, line_no: int) -> ProvenanceEvent:
     seq, ts, kind, payload, prev = _decode_fields_reference(value, (5,), line_no, "history")
     if not _HISTORY_SEQ_REFERENCE_RE.fullmatch(seq):
@@ -973,9 +981,54 @@ def _history_event_reference(value: str, line_no: int) -> ProvenanceEvent:
         raise SidecarSyntaxError(line_no, f"history: {exc}") from None
 
 
+def _entry_reference(key: str, value: str, line_no: int):
+    """The record's value of one entry under *key*, or the syntax error
+    that names its line."""
+    if key in ("name", "synonym", "summary", "location", "creator", "tag"):
+        (text,) = _decode_fields_reference(value, (1,), line_no, key)
+        return unicodedata.normalize("NFC", text)
+    if key == "identifier":
+        fields = _decode_fields_reference(value, (2,), line_no, key)
+        return _checked_reference(IdentifierBinding, *fields, line_no=line_no)
+    if key == "subject":
+        fields = _decode_fields_reference(value, (1, 2), line_no, key)
+        return _checked_reference(Subject, *fields, line_no=line_no)
+    if key == "history":
+        return _history_event_reference(value, line_no)
+    rule = {"format": format_tag, "date": ensure_canonical, "type": document_type,
+            "language": language_code, "access": access_level}[key]
+    return _checked_reference(rule, value, line_no=line_no)
+
+
+def _check_entries_reference(key: str, entries: list, line_nos: list[int]) -> None:
+    """Reject the first duplicate among a key's entries, or for the
+    history its first event out of order."""
+    if key == "history":
+        for i, (event, line_no) in enumerate(zip(entries, line_nos)):
+            if event.seq != i:
+                raise SidecarSyntaxError(
+                    line_no, f"history seq must run 0,1,2,...; got {event.seq} at index {i}"
+                )
+        if entries and entries[0].kind != "create":
+            raise SidecarSyntaxError(line_nos[0], "history must start with a create event")
+        return
+    seen = []
+    for entry, line_no in zip(entries, line_nos):
+        if isinstance(entry, IdentifierBinding):
+            entry = (entry.system, entry.id)
+        elif isinstance(entry, Subject):
+            entry = (entry.text, entry.source)
+        if entry in seen:
+            raise SidecarSyntaxError(line_no, f"duplicate {key}: {entry!r}")
+        seen.append(entry)
+
+
 def parse_record_reference(data: bytes, mode: str = STRICT) -> tuple[UmsRecord, list[str]]:
     """What ``parse_record_with_warnings`` returns or raises, found one line
-    at a time."""
+    at a time.  The first fault is named: grammar faults in line order,
+    then key by key each entry's fault in line order and then the key's
+    first duplicate or event out of order, then in strict mode the first
+    line not in canonical form."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -1015,37 +1068,17 @@ def parse_record_reference(data: bytes, mode: str = STRICT) -> tuple[UmsRecord, 
             )
         warnings += [f"missing required key: {k}" for k in missing]
 
-    def decode(key, arity):
-        return (_decode_fields_reference(v, arity, n, key) for v, n in values[key])
-
-    def texts(key):
-        return [fields[0] for fields in decode(key, (1,))]
-
-    def tokens(key):
-        return tuple(value for value, _ in values[key])
-
-    (name,) = texts("name") or [""]
-    (summary,) = texts("summary") or [None]
-    (date,) = tokens("date") or [None]
-    (doc_type,) = tokens("type") or [None]
-
-    formats, languages = tokens("format"), tokens("language")
-    try:
-        (access,) = checked("access", tokens("access"), access_level) or (ACCESS_PUBLIC,)
-        pairs = list(decode("identifier", (2,)))
-        identifiers = checked("identifiers", pairs, lambda p: IdentifierBinding(*p))
-        subjects = checked("subjects", decode("subject", (1, 2)), lambda p: Subject(*p))
-        history = [_history_event_reference(v, n) for v, n in values["history"]]
-        record = UmsRecord(
-            name=name, synonyms=texts("synonym"), formats=formats, date=date,
-            doc_type=doc_type, summary=summary, languages=languages,
-            locations=texts("location"), creators=texts("creator"),
-            identifiers=identifiers, access=access, subjects=subjects,
-            tags=texts("tag"), history=tuple(history),
-        )
-    except (InvariantViolation, InvalidTimestamp) as exc:
-        line_no = values[_SIDECAR_KEY_OF_FIELD[exc.field]][exc.index][1]
-        raise SidecarSyntaxError(line_no, str(exc)) from None
+    fields = {}
+    for key, field in _SIDECAR_FIELDS.items():
+        line_nos = [line_no for _, line_no in values[key]]
+        entries = [_entry_reference(key, value, line_no) for value, line_no in values[key]]
+        _check_entries_reference(key, entries, line_nos)
+        if key in _SIDECAR_ONCE_ONLY:
+            if entries:
+                fields[field] = entries[0]
+        else:
+            fields[field] = tuple(entries)
+    record = UmsRecord(**fields)
 
     canonical = _canonical_values_reference(record)
     for key in _SIDECAR_KEYS:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ import oracles
 from ums.cli import main
 from ums.errors import NotPdf, NotSupported
 from ums.extractors import extract_pdf_info
+from ums.extractors.pdf import _MAX_NESTING
 
 OCTOLOGY_EXPECTED = {
     "Title": "octology",
@@ -393,3 +395,39 @@ def test_extraction_equals_the_cursor_reference(data):
         assert "PageCount" in dict(pairs)
         return
     assert got == expected
+
+
+def _hostile_info_pdf(n: int) -> bytes:
+    """A PDF whose Info dictionary has 5 * *n* keys with escaped names:
+    numbers, references and arrays of them, and every 50th key an array
+    nested as deep as the extractor accepts inside the dictionary."""
+    depth = _MAX_NESTING - 1
+    nested = b"[" * depth + b"-1.5 +7 2 0 R" + b"]" * depth
+    info = b"".join(
+        b"/N#41%d -12.5 /R#20%d 2 0 R /I#23%d %d /A%d [1 2.5 -3 2 0 R null true] " % (i, i, i, i, i)
+        + (b"/D#2f%d %s " % (i, nested) if i % 50 == 0 else b"")
+        for i in range(n)
+    )
+    objects = [
+        b"<< /Type /Catalog /Pages 2 0 R >>",
+        b"<< /Type /Pages /Kids [] /Count 0 >>",
+        b"<< " + info + b">>",
+    ]
+    return fixtures._pdf(objects, root=1, info=3)
+
+
+def _best_time(n: int) -> float:
+    data, times = _hostile_info_pdf(n), []
+    for _ in range(3):
+        started = time.perf_counter()
+        raw = extract_pdf_info(data)
+        times.append(time.perf_counter() - started)
+    # every key is read: the last integer's escaped name is decoded
+    assert raw.errors == () and (f"I#{n - 1}", str(n - 1)) in raw.pairs
+    return min(times)
+
+
+def test_a_hostile_info_dictionary_extracts_in_linear_time():
+    # four times the input: about four times the time if linear, sixteen
+    # if quadratic; a ratio, so a slow host does not fail the test
+    assert _best_time(4000) / _best_time(1000) < 8

@@ -18,6 +18,7 @@ from ums.metabase import (
     Catalog,
     CatalogEntry,
     Metabase,
+    Resolution,
     empty_metabase,
     load_catalog,
     load_metabase,
@@ -109,6 +110,11 @@ class TestResolve:
 
     def test_no_match_is_none(self):
         assert resolve(small_catalog(), "nobody").kind == "none"
+
+    def test_every_miss_is_one_shared_answer(self):
+        first, second = resolve(small_catalog(), "nobody"), resolve(Catalog("other", ()), "x")
+        assert first is second
+        assert first == Resolution("none")
 
 
 #: who-parts made of the characters escaping writes as a backslash pair

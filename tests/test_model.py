@@ -207,6 +207,31 @@ def test_record_rejection_names_field_and_index(fields, field, index):
     assert (excinfo.value.field, excinfo.value.index) == (field, index)
 
 
+@pytest.mark.parametrize(
+    "fields, field, index",
+    [
+        (dict(synonyms=("a", "b", "a"), formats=("p!",)), "synonyms", 2),
+        (dict(formats=("pdf", "pdf"), date="2011-02-30"), "formats", 1),
+        (
+            dict(locations=("l", "l"), identifiers=(IdentifierBinding("DOI", "x"),) * 2),
+            "locations",
+            1,
+        ),
+        (dict(identifiers=(IdentifierBinding("DOI", "x"),) * 2, access=4), "identifiers", 1),
+        (dict(subjects=(Subject("s"), Subject("s")), history=(_RENAME,)), "subjects", 1),
+    ],
+)
+def test_of_faults_under_two_fields_the_earlier_field_is_named(fields, field, index):
+    with pytest.raises((InvariantViolation, InvalidTimestamp)) as excinfo:
+        UmsRecord(name="x", **fields)
+    assert (excinfo.value.field, excinfo.value.index) == (field, index)
+
+
+def test_an_event_with_a_bad_timestamp_and_a_bad_kind_names_the_timestamp():
+    with pytest.raises(InvalidTimestamp, match="not a canonical UTC timestamp: '2011-02-30'"):
+        ProvenanceEvent(0, "2011-02-30", "creation", "", GENESIS_PREV)
+
+
 def _fresh(token: str) -> str:
     """A string equal to *token* but not the same object."""
     copy = "".join([token[:1], token[1:]])

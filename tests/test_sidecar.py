@@ -261,6 +261,44 @@ def test_lenient_parsing_names_a_rejected_identifier_or_subject(bad_line):
     assert excinfo.value.line == 6
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "synonym: a\\x\nformat: pdf\ndate: 2011-03-01\n"
+            "history: 0|2011-03-01|creation||0000000000000000\n",
+            "line 3: synonym: bad escape \\x",
+        ),
+        (
+            "format: p!f\ndate: 2011-03-01\nhistory: 0|2011-03-01|creation||0000000000000000\n",
+            "line 3: bad format tag: 'p!f'",
+        ),
+        (
+            "synonym: a\nsynonym: a\nformat: p!f\ndate: 2011-03-01\n",
+            "line 4: duplicate synonym: 'a'",
+        ),
+        (
+            "format: pdf\ndate: 2011-03-01\ntype: book\nidentifier: d!|x\n",
+            "line 5: unknown document type: 'book'",
+        ),
+        # under one key too: an entry's value before a later entry's field count
+        (
+            "format: pdf\ndate: 2011-03-01\nidentifier: d!|x\nidentifier: DOI\n",
+            "line 5: bad system token: 'd!'",
+        ),
+    ],
+    ids=[
+        "bad-escape-and-event", "format-and-event", "duplicate-and-format", "type-and-identifier",
+        "identifier-and-identifier",
+    ],
+)
+@pytest.mark.parametrize("mode", [STRICT, LENIENT])
+def test_of_two_bad_lines_the_first_is_named(text, message, mode):
+    with pytest.raises(SidecarSyntaxError) as excinfo:
+        parse_record(f"ums: 1\nname: x\n{text}".encode(), mode)
+    assert str(excinfo.value) == message
+
+
 def test_escaped_line_feed_before_a_combining_mark_is_canonical():
     # the record name is NFC, but its escaped line is not: the escape's
     # "n" composes with the acute, so no whole-text NFC gate may reject it
@@ -374,15 +412,43 @@ _VALUE_INSERTS = ["|", "\\", "\\n", "\\|", "\\\\", "\\x", "\u0301", "A", "0", "\
                   " ", "\r", "\x85", "\u2028"]
 
 
+#: per key, values its entries may not hold: bad escapes and field
+#: counts, tokens the model rejects, an event of an unknown kind
+_BAD_VALUES = {
+    "name": ["a\\x", "a|b"],
+    "synonym": ["s\\", "s|t"],
+    "format": ["p!f", "PDF"],
+    "date": ["2011-02-30", "2011-03-01T16:35:22"],
+    "type": ["book"],
+    "summary": ["s\\q"],
+    "language": ["zz", "python"],
+    "location": ["l|m"],
+    "creator": ["c\\"],
+    "identifier": ["d!|x", "DOI", "DOI|"],
+    "access": ["4", "-1"],
+    "subject": ["a|", "|s", "a|b|c"],
+    "tag": ["t\\x"],
+    "history": ["0|2011-03-01|creation||0000000000000000", "1|2011-02-30|rename|x|" + "0" * 16],
+}
+
+
 @st.composite
 def _value_edited_sidecar(draw):
-    """A recgen sidecar after one to three edits that keep every line a
-    ``key: value`` line: an insertion into a value, or a line duplicated,
-    deleted or moved; the layout may still match, so a value's line must
-    be found without the line walk."""
+    """A recgen sidecar after edits that keep every line a ``key: value``
+    line.  Mostly, bad values are first planted under two different keys,
+    so the fault the parser names is one of two; then up to three edits
+    follow: an insertion into a value, or a line duplicated, deleted or
+    moved.  The layout may still match, so a value's line must be found
+    without the line walk."""
     record = recgen.record_with_history(random.Random(draw(st.integers(0, 2**32 - 1))))
     lines = canonical_serialize(record).decode().split("\n")[:-1]
-    for _ in range(draw(st.integers(1, 3))):
+    if draw(st.integers(0, 3)):
+        keys = sorted({line.partition(": ")[0] for line in lines[1:]})
+        for key in draw(st.lists(st.sampled_from(keys), min_size=2, max_size=2, unique=True)):
+            under_key = [i for i, line in enumerate(lines) if line.startswith(key + ": ")]
+            i = draw(st.sampled_from(under_key))
+            lines[i] = f"{key}: {draw(st.sampled_from(_BAD_VALUES[key]))}"
+    for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(1, len(lines) - 1))
         edit = draw(st.sampled_from(["insert", "duplicate", "delete", "move"]))
         if edit == "insert":
