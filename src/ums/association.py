@@ -64,36 +64,39 @@ def group_by(
 class CorpusIndex(Value):
     """Immutable snapshot of a record corpus plus its tag postings.
 
-    ``records`` is the corpus in its own order.  ``by_name`` holds the
-    same records sorted by name (a stable sort, so namesakes keep their
-    corpus order), derived from ``records``.  ``tag_index`` maps each
-    tag to the ascending positions in ``by_name`` of the records
-    carrying it; a record listed k times has k positions.
+    ``records``, the corpus in its own order, is the only field, so
+    indexes compare and hash by their records; the constructor derives
+    the rest from it.  ``by_name`` holds the same records sorted by name
+    (a stable sort, so namesakes keep their corpus order).  ``tag_index``
+    maps each tag to the ascending positions in ``by_name`` of the
+    records carrying it; a record listed k times has k positions.
     ``untagged`` maps ``id(record)`` to each record without tags, so
     membership of an indexed record never scans the corpus.
     """
 
-    _fields = ("records", "tag_index", "untagged")
-    __slots__ = _fields + ("by_name",)
+    _fields = ("records",)
+    __slots__ = _fields + ("by_name", "tag_index", "untagged")
 
     def __post_init__(self, values: tuple) -> None:
         super().__post_init__(values)
-        set_slot(self, "by_name", tuple(sorted(self.records, key=attrgetter("name"))))
+        by_name = tuple(sorted(self.records, key=attrgetter("name")))
+        postings: dict[str, list[int]] = {}
+        untagged: dict[int, UmsRecord] = {}
+        for position, record in enumerate(by_name):
+            if not record.tags:
+                untagged[id(record)] = record
+            for tag in record.tags:
+                postings.setdefault(tag, []).append(position)
+        set_slot(self, "by_name", by_name)
+        set_slot(self, "tag_index", {tag: tuple(ps) for tag, ps in postings.items()})
+        set_slot(self, "untagged", untagged)
 
 
 def build_index(records: Sequence[UmsRecord]) -> CorpusIndex:
-    """The constructor sorts the corpus by name once; one pass over that
-    order fills the new index's postings and untagged records.
-    Rebuilding from the same records is identical."""
-    index = CorpusIndex(tuple(records), {}, {})
-    postings: dict[str, list[int]] = {}
-    for position, record in enumerate(index.by_name):
-        if not record.tags:
-            index.untagged[id(record)] = record
-        for tag in record.tags:
-            postings.setdefault(tag, []).append(position)
-    index.tag_index.update((tag, tuple(ps)) for tag, ps in postings.items())
-    return index
+    """The index of *records*: one name sort and one pass over that
+    order, both in :class:`CorpusIndex`'s constructor.  Rebuilding from
+    the same records gives an equal index."""
+    return CorpusIndex(tuple(records))
 
 
 def related(index: CorpusIndex, record: UmsRecord) -> list[tuple[str, float]]:

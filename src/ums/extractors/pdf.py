@@ -375,10 +375,14 @@ def extract_pdf_info(data: bytes) -> RawMetadata:
     if isinstance(info, dict):
         for key, value in info.items():
             value = _resolve(value, entries, data, errors)
-            if not isinstance(value, (bytes, str, int, float)):
-                continue
-            text = _decode_text(value) if isinstance(value, bytes) else str(value)
-            builder.add(_INFO_KEY_NAMES.get(key, key), display(text) or text)
+            if isinstance(value, (bytes, str, int, float)):
+                text = _decode_text(value) if isinstance(value, bytes) else str(value)
+                builder.add(_INFO_KEY_NAMES.get(key, key), display(text) or text)
+            elif isinstance(value, (list, dict)):
+                kind = "array" if isinstance(value, list) else "dictionary"
+                errors.append(f"Info /{key}: {kind} not extracted")
+            # a null value is an absent entry (PDF 32000-1 §7.3.7), and a
+            # reference _resolve could not follow is already in errors
 
     catalog = _resolve(trailer.get("Root"), entries, data, errors)
     page_count: int | None = None

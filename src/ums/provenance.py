@@ -68,9 +68,12 @@ def apply_event(
     """Append one event and its derived value; returns a new record.
 
     The original name, first format, first location and creation date
-    are untouched by construction.  A record with no history yet gets a
-    genesis create event inserted first.  Duplicate derived values are
-    skipped, but the event is still recorded.
+    are untouched by construction.  The genesis, the create event that
+    opens every history, is stamped with the record's date, or with
+    *timestamp* when the record has none: an explicit create is the
+    genesis alone, and any other event on a record with no history yet
+    gets one inserted first.  Duplicate derived values are skipped, but
+    the event is still recorded.
     """
     timestamp = timestamps.normalize(timestamp)
     field, value = _derived(kind, payload)
@@ -79,35 +82,27 @@ def apply_event(
     elif value is not None:
         payload = value
 
-    history = list(record.history)
-    if kind == "create":
-        if history:
-            raise MalformedPayload("create is only valid as the first event")
-    elif not history:
+    history = record.history
+    if not history:
         genesis_ts = record.date if record.date is not None else timestamp
-        history.append(
-            ProvenanceEvent(
-                seq=0, timestamp=genesis_ts, kind="create", payload="", prev=GENESIS_PREV
-            )
+        history = (ProvenanceEvent(0, genesis_ts, "create", "", GENESIS_PREV),)
+        if kind == "create":
+            return replace(record, history=history)
+    elif kind == "create":
+        raise MalformedPayload("create is only valid as the first event")
+
+    last = history[-1]
+    if timestamps.as_datetime(timestamp) < timestamps.as_datetime(last.timestamp):
+        import logging  # only this warning needs it; keeps start-up lean
+
+        logging.getLogger(__name__).warning(
+            "event timestamp %s precedes previous event %s; recorded anyway",
+            timestamp,
+            last.timestamp,
         )
+    event = ProvenanceEvent(len(history), timestamp, kind, payload, event_digest(last))
 
-    prev = event_digest(history[-1]) if history else GENESIS_PREV
-    if history:
-        last_dt = timestamps.as_datetime(history[-1].timestamp)
-        if timestamps.as_datetime(timestamp) < last_dt:
-            import logging  # only this warning needs it; keeps start-up lean
-
-            logging.getLogger(__name__).warning(
-                "event timestamp %s precedes previous event %s; recorded anyway",
-                timestamp,
-                history[-1].timestamp,
-            )
-    event = ProvenanceEvent(
-        seq=len(history), timestamp=timestamp, kind=kind, payload=payload, prev=prev
-    )
-    history.append(event)
-
-    updates = {"history": tuple(history)}
+    updates = {"history": history + (event,)}
     if field is not None:
         current = getattr(record, field)
         if value not in current:

@@ -31,12 +31,13 @@ rules, :class:`UmsRecord`, :class:`ProvenanceEvent`,
 language, date, type, access, identifier, subject, duplicate and
 history-order rules, and each rejection names its field and entry, as
 does a rejection by ``decode_fields``; the parser turns it into a
-:class:`SidecarSyntaxError` naming the line, which it counts from the
-values before that entry only once something is rejected.  Strict
-parsing also rejects a value the model had to normalize (non-NFC text,
-an uppercase format or language, a lowercase identifier system), so
-every strict-valid sidecar re-serializes to its own bytes; lenient
-parsing keeps such a value and warns.
+:class:`SidecarSyntaxError` naming the line, as numbered by the line
+walk, which runs on a matched text only once a value in it is rejected
+or not in canonical form.  Strict parsing also rejects a value the model
+had to normalize (non-NFC text, an uppercase format or language, a
+lowercase identifier system), so every strict-valid sidecar
+re-serializes to its own bytes; lenient parsing keeps such a value and
+warns.
 
 Of several faults the first is named: grammar faults in line order, then
 key by key each entry's fault (escapes, field count, value) and the key's
@@ -118,7 +119,8 @@ _POS_OF_FIELD = {row.name: pos for pos, row in enumerate(FIELDS)}
 #: a record's values, one per row
 _HELD = attrgetter(*(row.name for row in FIELDS))
 _CANONICAL = [_encoder(row) for row in FIELDS]
-_LINE_STARTS = [(f"\n{row.key}: ", canonical) for row, canonical in zip(FIELDS, _CANONICAL)]
+#: per key: what starts its line, and so separates its values in a run
+_LINE_STARTS = [f"\n{row.key}: " for row in FIELDS]
 #: a well-formed sidecar, whole: the header, then each key's run of
 #: ``key: value`` lines in key order, as many as the key's count allows,
 #: every value non-empty; group i is the run of the i-th key, "" when it
@@ -126,8 +128,6 @@ _LINE_STARTS = [(f"\n{row.key}: ", canonical) for row, canonical in zip(FIELDS, 
 _LAYOUT = re.compile(
     "ums: 1\n" + "".join(f"((?:{row.key}: [^\n]+\n){row.count})" for row in FIELDS)
 )
-#: per key: where its run's first value starts, and what separates its values
-_RUN_SPLIT = [(len(row.key) + 2, f"\n{row.key}: ") for row in FIELDS]
 #: per row, in key order: its position, key, field, decoder, rule, and if it is a list
 _ROWS = [(pos, r.key, r.name, r.decoder, r.rule, r.count in MANY) for pos, r in enumerate(FIELDS)]
 _ABSENT = tuple(row.default for row in FIELDS)
@@ -146,7 +146,7 @@ def canonical_serialize(record: UmsRecord) -> bytes:
     """Serialize a complete record to canonical sidecar bytes."""
     require_complete(record)
     out = ["ums: 1"]
-    for (line_start, canonical), held in zip(_LINE_STARTS, _HELD(record)):
+    for line_start, canonical, held in zip(_LINE_STARTS, _CANONICAL, _HELD(record)):
         out.append(line_start.join(["", *canonical(held)]))
     out.append("\n")
     text = "".join(out)
@@ -176,9 +176,10 @@ def _parse_history_value(value: str) -> ProvenanceEvent:
 def _walk_lines(text: str, mode: str) -> tuple[list[list[str]], list[list[int]], list[str]]:
     """Each key's values and their line numbers, line by line, and the
     warnings of a lenient parse; raises the first grammar error.  Run
-    only on a text that :data:`_LAYOUT` does not match, to name the line
-    at fault, or in lenient mode to set aside unknown keys and note
-    missing ones."""
+    on a text that :data:`_LAYOUT` does not match, to name the line at
+    fault, or in lenient mode to set aside unknown keys and note missing
+    ones; and on one it matched only to number the lines of a value that
+    is rejected or not in canonical form."""
     if not text.endswith("\n"):
         raise SidecarSyntaxError(max(1, text.count("\n") + 1), "missing trailing newline")
     lines = text.split("\n")[:-1]
@@ -218,15 +219,6 @@ def _walk_lines(text: str, mode: str) -> tuple[list[list[str]], list[list[int]],
     return values, line_nos, warnings
 
 
-def _line_numbers(values: list[list[str]]) -> list[list[int]]:
-    """Each value's line in a sidecar of only *values*, in key order."""
-    line_nos, line_no = [], 2
-    for found in values:
-        line_nos.append(list(range(line_no, line_no + len(found))))
-        line_no += len(found)
-    return line_nos
-
-
 def parse_record_with_warnings(
     data: bytes, mode: str = STRICT
 ) -> tuple[UmsRecord, list[str]]:
@@ -248,8 +240,8 @@ def parse_record_with_warnings(
     layout = _LAYOUT.fullmatch(text)
     if layout is not None:
         values = [
-            run[start:-1].split(sep) if run else ()
-            for (start, sep), run in zip(_RUN_SPLIT, layout.groups())
+            run[len(sep) - 1 : -1].split(sep) if run else ()
+            for sep, run in zip(_LINE_STARTS, layout.groups())
         ]
         line_nos, warnings = None, []
     else:
@@ -287,7 +279,7 @@ def parse_record_with_warnings(
             UmsRecord(*args)  # a fault under an earlier key is named first
         except (InvariantViolation, InvalidTimestamp) as earlier:
             exc = earlier
-        line_nos = line_nos or _line_numbers(values)
+        line_nos = line_nos or _walk_lines(text, mode)[1]
         line_no = line_nos[_POS_OF_FIELD[exc.field]][exc.index]
         raise SidecarSyntaxError(line_no, str(exc)) from None
 
@@ -296,7 +288,7 @@ def parse_record_with_warnings(
     if recased or not (
         unicodedata.is_normalized("NFC", text) and _HELD_TOKENS(record) == _GIVEN_TOKENS(args)
     ):
-        line_nos = line_nos or _line_numbers(values)
+        line_nos = line_nos or _walk_lines(text, mode)[1]
         for row, found, nos, canonical, held in zip(
             FIELDS, values, line_nos, _CANONICAL, _HELD(record)
         ):

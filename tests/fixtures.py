@@ -4,6 +4,8 @@ properties apply to input files."""
 
 from __future__ import annotations
 
+import time
+
 from hypothesis import settings, strategies as st
 
 from ums.metabase import CATALOG_HEADER
@@ -14,6 +16,17 @@ def examples(count: int) -> int:
     scaled by the loaded profile's ``max_examples`` against the default's,
     so the ``ci`` profile of ``conftest.py`` runs each property longer."""
     return count * settings.default.max_examples // settings.get_profile("default").max_examples
+
+
+def best_time(read, data):
+    """The least wall time of three calls ``read(data)``, and what the last
+    returned; a linear-time test compares it at two sizes of *data*."""
+    times = []
+    for _ in range(3):
+        started = time.perf_counter()
+        result = read(data)
+        times.append(time.perf_counter() - started)
+    return min(times), result
 
 
 #: what hostile-input properties insert: random bytes, and the bytes where

@@ -770,7 +770,13 @@ def extract_pdf_info_reference(data: bytes) -> RawMetadata:
                 text = str(value)
             elif isinstance(value, (int, float)):
                 text = str(value)
-            else:
+            elif isinstance(value, list):
+                errors.append(f"Info /{key}: array not extracted")
+                continue
+            elif isinstance(value, dict):
+                errors.append(f"Info /{key}: dictionary not extracted")
+                continue
+            else:  # null is an absent entry; an unresolved reference is in errors
                 continue
             builder.add(_INFO_KEY_NAMES.get(key, key), display(text) or text)
 

@@ -413,3 +413,33 @@ def test_hostile_mapping_tables_raise_only_ums_errors(data):
                 map_raw_to_ums(RawMetadata(rule.carrier, ((rule.key, value),), 0), table)
             except MappingError:
                 pass
+
+
+def _hostile_mapping(n: int) -> bytes:
+    """A mapping table of *n* rules, every line ended by CRLF, with non-ASCII
+    keys: in turn a list target, a pair target for a key that holds
+    `` -> ``, and the name target of a carrier of its own."""
+    lines = ["ums-mapping: 1"]
+    for i in range(n):
+        lines.append(
+            (
+                f"pdf.Schl\u00fcssel {i} -> creator",
+                f"html.\u03ba\u03bb\u03b5\u03b9\u03b4\u03af -> {i} -> identifier:PMID",
+                f"c{i}.T\u00eftel -> name",
+            )[i % 3]
+        )
+    return ("\r\n".join(lines) + "\r\n").encode()
+
+
+def _best_mapping_time(n: int) -> float:
+    seconds, table = fixtures.best_time(load_mapping, _hostile_mapping(n))
+    assert len(table.rules) == n
+    key = "\u03ba\u03bb\u03b5\u03b9\u03b4\u03af -> 1"
+    assert MappingRule("html", key, "identifier:PMID") in table.rules
+    return seconds
+
+
+def test_a_hostile_mapping_table_loads_in_linear_time():
+    # four times the rules: about four times the time if linear, sixteen
+    # if quadratic; a ratio, so a slow host does not fail the test
+    assert _best_mapping_time(20000) / _best_mapping_time(5000) < 8

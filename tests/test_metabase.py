@@ -387,3 +387,30 @@ class TestHostileCatalogs:
             except UmsError:
                 return
         assert metabase.is_registered_system("DOI")
+
+
+def _hostile_catalog(n: int) -> bytes:
+    """A catalog of *n* entries, every line ended by CRLF: three who-parts
+    split on ``\\,``, with escapes in them, and two non-ASCII synonyms each."""
+    lines = ["metabase-catalog: 1", "catalog: authors"]
+    for i in range(n):
+        lines += [
+            f"entry: person:Zo\u00eb\\|{i}\\,\u00c5ngstr\u00f6m\\\\{i}\\,\u4e09|1906-12-09|Wien|{i}",
+            f"  synonym: \u0396\u03c9\u03ae {i}",
+            f"  synonym: \u6f22\u5b57 {i}",
+        ]
+    return ("\r\n".join(lines) + "\r\n").encode()
+
+
+def _best_catalog_time(n: int) -> float:
+    seconds, catalog = fixtures.best_time(load_catalog, _hostile_catalog(n))
+    last, i = catalog.entries[-1], n - 1
+    assert len(catalog) == n and last.synonyms == (f"\u0396\u03c9\u03ae {i}", f"\u6f22\u5b57 {i}")
+    assert last.systematic_name.who == (f"Zo\u00eb|{i}", f"\u00c5ngstr\u00f6m\\{i}", "\u4e09")
+    return seconds
+
+
+def test_a_hostile_catalog_loads_in_linear_time():
+    # four times the entries: about four times the time if linear, sixteen
+    # if quadratic; a ratio, so a slow host does not fail the test
+    assert _best_catalog_time(20000) / _best_catalog_time(5000) < 8

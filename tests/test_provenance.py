@@ -11,7 +11,14 @@ import oracles
 import recgen
 from ums import provenance
 from ums.errors import BrokenChain, InvariantViolation, MalformedPayload, UmsError
-from ums.model import GENESIS_PREV, IdentifierBinding, ProvenanceEvent, UmsRecord, replace
+from ums.model import (
+    EVENT_KINDS,
+    GENESIS_PREV,
+    IdentifierBinding,
+    ProvenanceEvent,
+    UmsRecord,
+    replace,
+)
 from ums.provenance import (
     _reconstruct_original,
     apply_event,
@@ -106,6 +113,14 @@ class TestApplyEvent:
         assert len(record.history) == 1
         with pytest.raises(MalformedPayload):
             apply_event(record, "create", "", "2012-01-01T00:00:00Z")
+
+    def test_an_explicit_create_is_stamped_with_the_record_date(self):
+        dated = UmsRecord(name="x", formats=("pdf",), date="2011-01-01")
+        record = apply_event(dated, "create", "", "2012-05-05T00:00:00Z")
+        assert record.history == (ProvenanceEvent(0, "2011-01-01", "create", "", GENESIS_PREV),)
+        assert verify_history(record) == provenance.VerifyResult(True, 1)
+        undated = apply_event(replace(dated, date=None), "create", "", "2012-05-05")
+        assert undated.history[0].timestamp == "2012-05-05"
 
     def test_an_event_that_is_no_utf8_stops_the_next_append(self):
         # text from undecodable bytes holds lone surrogates; the event is
@@ -466,6 +481,34 @@ def test_append_only_law(seed):
             assert set(old) <= set(new)
             assert new[: len(old)] == old
         assert record.history[: len(before.history)] == before.history
+
+
+_LATER_KINDS = sorted(set(EVENT_KINDS) - {"create"})
+
+
+@settings(max_examples=fixtures.examples(200), deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from(_LATER_KINDS), max_size=8),
+    st.booleans(),
+    st.booleans(),
+)
+def test_every_history_apply_event_writes_verifies(seed, kinds, create_first, undated):
+    """One genesis rule: whether the first call is an explicit create with a
+    timestamp of its own or any other event, dated record or not, and in
+    whatever order the timestamps come, the history written verifies."""
+    rng = random.Random(seed)
+    record = recgen.base_record(rng)
+    if undated:
+        record = replace(record, date=None)
+    calls = [(kind, recgen.event_payload(rng, kind)) for kind in kinds]
+    if create_first:
+        calls.insert(0, ("create", ""))
+    for kind, payload in calls:
+        record = apply_event(record, kind, payload, recgen.timestamp(rng))
+    result = verify_history(record)
+    assert result.ok, result
+    assert result.chain_length == len(record.history)
 
 
 def test_digest_is_sixteen_hex_chars():
