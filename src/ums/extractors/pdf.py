@@ -273,15 +273,30 @@ def _parse_xref_tables(data: bytes):
     return entries, trailer
 
 
+#: most references followed from one value to the object it names
+_MAX_CHAIN = 8
+
+
 def _resolve(value, entries: dict[int, int], data: bytes, errors: list[str]):
-    if isinstance(value, _Ref):
+    """*value*, or the object its chain of references ends at.  A reference
+    that cannot be followed, a cycle and a chain of over ``_MAX_CHAIN``
+    references are recorded in *errors*, once, and resolve to None."""
+    seen: list[int] = []
+    while isinstance(value, _Ref):
         num = int(value[0])
+        if num in seen:
+            errors.append(f"reference cycle at object {num}")
+            return None
+        if len(seen) == _MAX_CHAIN:
+            errors.append(f"reference chain of over {_MAX_CHAIN} objects at object {num}")
+            return None
+        seen.append(num)
         entry = entries.get(num)
         if entry is None:
             errors.append(f"offset unknown for object {num}")
             return None
         try:
-            return _parse_indirect_object(data, int(data[entry : entry + 10]))
+            value = _parse_indirect_object(data, int(data[entry : entry + 10]))
         except _ParseError as exc:
             errors.append(str(exc))
             return None
@@ -376,7 +391,12 @@ def extract_pdf_info(data: bytes) -> RawMetadata:
         for key, value in info.items():
             value = _resolve(value, entries, data, errors)
             if isinstance(value, (bytes, str, int, float)):
-                text = _decode_text(value) if isinstance(value, bytes) else str(value)
+                if isinstance(value, bytes):
+                    text = _decode_text(value)
+                elif isinstance(value, bool):
+                    text = "true" if value else "false"  # as the file writes it
+                else:
+                    text = str(value)
                 builder.add(_INFO_KEY_NAMES.get(key, key), display(text) or text)
             elif isinstance(value, (list, dict)):
                 kind = "array" if isinstance(value, list) else "dictionary"

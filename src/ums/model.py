@@ -138,11 +138,10 @@ class _DataclassFields:
         if fields is None:
             import dataclasses
 
-            spec = [
-                name
-                if name in cls._fields
-                else (name, object, dataclasses.field(init=False, repr=False, compare=False))
+            spec = list(cls._fields) + [
+                (name, object, dataclasses.field(init=False, repr=False, compare=False))
                 for name in cls.__slots__
+                if name not in cls._fields
             ]
             mirror = dataclasses.make_dataclass(cls.__name__, spec)
             fields = self.of_class[cls] = mirror.__dataclass_fields__
@@ -151,7 +150,11 @@ class _DataclassFields:
 
 class Value:
     """Base of the toolkit's immutable value objects; see the module
-    docstring for what it supplies."""
+    docstring for what it supplies.  A class may store a field in a
+    derived form, in a slot of another name, and give the field back
+    through a property (``metabase.CatalogEntry`` keeps its name as the
+    canonical string); comparison, hashing, the repr, copying and
+    :func:`replace` then read the property."""
 
     __slots__ = ()
     #: the constructor's parameters, in order, and the defaults of the last

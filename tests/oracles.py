@@ -21,20 +21,24 @@ from ums.errors import (
     NotPdf,
     NotSupported,
     SidecarSyntaxError,
+    UmsError,
     UnknownKey,
 )
 from ums.extractors import CARRIER_HTML, CARRIER_PDF, PairBuilder, RawMetadata
+from ums.metabase import CATALOG_HEADER, Catalog, CatalogEntry
 from ums.model import (
     ACCESS_PUBLIC,
     STRICT,
     IdentifierBinding,
     ProvenanceEvent,
     Subject,
+    SystematicName,
     UmsRecord,
     access_level,
     document_type,
     format_tag,
     language_code,
+    parse_systematic_name,
 )
 from ums.timestamps import display, ensure_canonical
 
@@ -255,6 +259,49 @@ def resolve_reference(catalog, query: str):
         if canonical == query or query in entry.synonyms:
             return ("exact", entry)
     return ("none", None)
+
+
+def load_catalog_reference(data: bytes) -> Catalog:
+    """The catalog loader that keeps every parsed name until the file
+    ends: the text with CRLF replaced, then one flat list of names and
+    synonyms, cut into entries at the end.  A blank synonym is refused at
+    its own line, with the message the toolkit gives."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SidecarSyntaxError(0, f"catalog not UTF-8: {exc}") from None
+
+    # only a line feed ends a line; one carriage return before it is dropped
+    lines = text.replace("\r\n", "\n").split("\n")
+    if lines[0] != CATALOG_HEADER:
+        raise SidecarSyntaxError(1, f"expected header {CATALOG_HEADER!r}")
+    if len(lines) < 2 or not lines[1].startswith("catalog: "):
+        raise SidecarSyntaxError(2, "expected 'catalog: <name>'")
+    name = lines[1][len("catalog: ") :]
+    if not name:
+        raise SidecarSyntaxError(2, "empty catalog name")
+
+    items: list = []
+    for line_no, line in enumerate(lines[2:], start=3):
+        if not line.strip():
+            continue
+        if line.startswith("entry: "):
+            try:
+                items.append(parse_systematic_name(line[len("entry: ") :]))
+            except UmsError as exc:
+                raise SidecarSyntaxError(line_no, f"bad entry: {exc}") from None
+        elif line.startswith("  synonym: "):
+            if not items:
+                raise SidecarSyntaxError(line_no, "synonym before any entry")
+            synonym = line[len("  synonym: ") :]
+            if not synonym:
+                raise SidecarSyntaxError(line_no, "bad synonym: empty or non-text synonym entry")
+            items.append(synonym)
+        else:
+            raise SidecarSyntaxError(line_no, f"unexpected line: {line!r}")
+    starts = [i for i, item in enumerate(items) if isinstance(item, SystematicName)]
+    ends = starts[1:] + [len(items)]
+    return Catalog(name, tuple(CatalogEntry(items[s], items[s + 1 : e]) for s, e in zip(starts, ends)))
 
 
 class InconsistentReference(Exception):
@@ -689,18 +736,31 @@ def _parse_xref_tables(data: bytes):
     return offsets, trailer
 
 
-def _resolve(value, offsets: dict[int, int], data: bytes, errors: list[str]):
-    if isinstance(value, _Ref):
-        pos = offsets.get(value.num)
-        if pos is None:
-            errors.append(f"offset unknown for object {value.num}")
-            return None
-        try:
-            return _parse_indirect_object(data, pos)
-        except _ParseError as exc:
-            errors.append(str(exc))
-            return None
-    return value
+#: most references followed from one value to the object it names
+_MAX_CHAIN = 8
+
+
+def _resolve(value, offsets: dict[int, int], data: bytes, errors: list[str], chain: tuple = ()):
+    """Follow one reference at a time, recursing on a reference's target;
+    *chain* holds the object numbers followed so far."""
+    if not isinstance(value, _Ref):
+        return value
+    if value.num in chain:
+        errors.append(f"reference cycle at object {value.num}")
+        return None
+    if len(chain) == _MAX_CHAIN:
+        errors.append(f"reference chain of over {_MAX_CHAIN} objects at object {value.num}")
+        return None
+    pos = offsets.get(value.num)
+    if pos is None:
+        errors.append(f"offset unknown for object {value.num}")
+        return None
+    try:
+        target = _parse_indirect_object(data, pos)
+    except _ParseError as exc:
+        errors.append(str(exc))
+        return None
+    return _resolve(target, offsets, data, errors, chain + (value.num,))
 
 
 def _extract_xmp(data: bytes, builder: PairBuilder) -> None:
@@ -768,6 +828,8 @@ def extract_pdf_info_reference(data: bytes) -> RawMetadata:
                 text = _decode_text(value)
             elif isinstance(value, (_Name, str)):
                 text = str(value)
+            elif value is True or value is False:
+                text = "true" if value else "false"
             elif isinstance(value, (int, float)):
                 text = str(value)
             elif isinstance(value, list):

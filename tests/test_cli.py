@@ -277,8 +277,12 @@ class TestValidate:
                 b"metabase-catalog: 1\ncatalog: authors\n\n  synonym: Max Madman\n",
                 "line 4: synonym before any entry",
             ),
+            (
+                b"metabase-catalog: 1\ncatalog: authors\nentry: other:x||\n  synonym: \n",
+                "line 4: bad synonym: empty or non-text synonym entry",
+            ),
         ],
-        ids=["empty-name", "orphan-synonym"],
+        ids=["empty-name", "orphan-synonym", "blank-synonym"],
     )
     def test_a_malformed_catalog_exits_2_naming_its_line(self, tmp_path, capsys, catalog, message):
         metabase_dir = tmp_path / "metabase"

@@ -127,6 +127,39 @@ class TestInfoValues:
             "offset unknown for object 9",  # once: the failed reference only
         )
 
+    def test_a_chain_of_references_is_followed_to_its_value(self):
+        info = b"<< /Title 5 0 R /Author 6 0 R >>"
+        raw = extract_pdf_info(_info_pdf(info, b"7 0 R", b"8 0 R", b"(chained)", b"9 0 R", b"(twice)"))
+        assert ("Title", "chained") in raw.pairs and ("Author", "twice") in raw.pairs
+        assert raw.errors == ()
+
+    @staticmethod
+    def _chain(first: int, references: int) -> list[bytes]:
+        """Objects from *first* on that a value ``first 0 R`` reaches by
+        *references* references, the last of them holding ``(far)``."""
+        return [b"%d 0 R" % n for n in range(first + 1, first + references)] + [b"(far)"]
+
+    def test_a_cycle_or_an_over_long_chain_is_reported_once(self):
+        cycle = [b"6 0 R", b"7 0 R", b"5 0 R"]  # objects 5, 6, 7
+        info = b"<< /Title 5 0 R /Subject 8 0 R /Author (kept) >>"
+        raw = extract_pdf_info(_info_pdf(info, *cycle, *self._chain(8, 9)))
+        assert dict(raw.pairs)["Author"] == "kept"
+        assert not {"Title", "Subject"} & set(pairs_dict(raw))
+        assert raw.errors == (
+            "reference cycle at object 5",
+            "reference chain of over 8 objects at object 16",
+        )
+        # one reference fewer, and the chain ends at its value
+        shorter = extract_pdf_info(_info_pdf(b"<< /Subject 5 0 R >>", *self._chain(5, 8)))
+        assert ("Subject", "far") in shorter.pairs and shorter.errors == ()
+
+    def test_booleans_are_extracted_as_the_file_writes_them(self, tmp_path, capsys):
+        path = tmp_path / "flags.pdf"
+        path.write_bytes(_info_pdf(b"<< /Flag true /Other false /Later 5 0 R >>", b"true"))
+        assert main(["extract", str(path), "--raw"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "Flag = true" in out and "Other = false" in out and "Later = true" in out
+
     def test_lint_lists_them_as_partial_extraction(self, tmp_path, capsys):
         path = tmp_path / "mixed.pdf"
         path.write_bytes(_info_pdf(self.MIXED))
@@ -347,7 +380,9 @@ def _edge_pdf(draw) -> bytes:
         [b"true", b"false", b"null", b"nullx", b"truex", b"12", b"-3.5", b"+.5", b"1.", b"x"]
     )
     scalars = st.lists(scalar, max_size=3).map(lambda items: b"[" + b" ".join(items) + b"]")
-    value = st.one_of(refs, name, literal, hexed, nested, scalar, scalars)
+    # a reference to another value, to the Info, or to no object: chains and cycles
+    chained = st.integers(1, 13).map(lambda n: b"%d 0 R" % n)
+    value = st.one_of(refs, name, literal, hexed, nested, scalar, scalars, ref, chained)
     keys = [b"Title", b"Ti#74le", b"Author", b"Creator", b"Producer", b"CreationDate", b"Keywords"]
     values = [draw(value) for _ in keys]
     objects = [

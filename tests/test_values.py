@@ -411,7 +411,9 @@ def test_dataclasses_functions_accept_values(name):
     cls = type(value)
     assert dataclasses.is_dataclass(value)
     fields = dataclasses.fields(value)
-    assert tuple(f.name for f in fields) == cls.__slots__
+    # the constructor's fields, then the derived slots
+    listed = cls._fields + tuple(slot for slot in cls.__slots__ if slot not in cls._fields)
+    assert tuple(f.name for f in fields) == listed
     assert tuple(f.name for f in fields if f.init) == cls._fields
     assert tuple(f.name for f in fields if f.compare) == cls._fields
     assert dataclasses.fields(cls) == fields
@@ -425,4 +427,4 @@ def test_dataclasses_functions_accept_values(name):
     for derived in set(cls.__slots__) - set(cls._fields):
         with pytest.raises(_init_false_replace_error()):
             dataclasses.replace(value, **{derived: None})
-    assert tuple(dataclasses.asdict(value)) == cls.__slots__
+    assert tuple(dataclasses.asdict(value)) == listed
